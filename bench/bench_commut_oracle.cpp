@@ -16,6 +16,10 @@
 /// commutativity-bound rest by an order of magnitude, so including them
 /// would only measure noise on top of bench_table1_overview's ground.
 ///
+/// The arms are the `commut` group of the differential check matrix
+/// (tools/CheckMatrix.h), run on this suite with the group's own verdict
+/// checks; failures go to stderr and do not stop the measurement.
+///
 /// Writes a flat BENCH_commut_oracle.json (path in argv[1], default
 /// BENCH_commut_oracle.json in the working directory) that
 /// tools/check_perf.sh diffs against the checked-in baseline at the repo
@@ -25,42 +29,39 @@
 
 #include "Harness.h"
 
-#include "persist/Fingerprint.h"
-#include "program/CfgBuilder.h"
-#include "reduction/CommutOracle.h"
-#include "runtime/ParallelPortfolio.h"
-#include "support/Timer.h"
+#include "CheckMatrix.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 using namespace seqver;
 using namespace seqver::bench;
 
 namespace {
 
-/// Aggregate of one arm over the whole suite.
+/// Aggregate of one arm of the commut check group over the whole suite.
 struct ArmTotals {
   int Successful = 0;
-  int64_t Semantic = 0;    ///< hub-merged commut_semantic
-  int64_t SharedHits = 0;  ///< hub-merged commut_shared_hits
-  int64_t SmtQueries = 0;  ///< hub-merged smt_queries
-  double WallSeconds = 0;  ///< summed race wall-clock
+  int64_t Semantic = 0;   ///< hub-merged commut_semantic
+  int64_t SharedHits = 0; ///< hub-merged commut_shared_hits
+  int64_t SmtQueries = 0; ///< hub-merged smt_queries
+  double WallSeconds = 0; ///< summed race wall-clock
 };
 
-void accumulate(ArmTotals &T, const workloads::WorkloadInstance &W,
-                const runtime::ParallelPortfolioResult &R) {
-  if (core::isDecisive(R.Best.V) &&
-      (R.Best.V == core::Verdict::Correct) == W.ExpectedCorrect)
-    ++T.Successful;
-  T.Semantic += R.Merged.get("commut_semantic");
-  T.SharedHits += R.Merged.get("commut_shared_hits");
-  T.SmtQueries += R.Merged.get("smt_queries");
-  T.WallSeconds += R.WallSeconds;
+ArmTotals totals(const check::GroupResult &R, const std::string &Arm) {
+  ArmTotals T;
+  for (const check::Row &Row : R.Rows) {
+    core::Verdict V = R.run(Row, Arm).V;
+    if (core::isDecisive(V) &&
+        (V == core::Verdict::Correct) == Row.W.ExpectedCorrect)
+      ++T.Successful;
+  }
+  T.Semantic = R.total(Arm, "commut_semantic");
+  T.SharedHits = R.total(Arm, "commut_shared_hits");
+  T.SmtQueries = R.total(Arm, "smt_queries");
+  T.WallSeconds = static_cast<double>(R.total(Arm, "wall_us")) / 1e6;
+  return T;
 }
 
 double dropPct(int64_t Before, int64_t After) {
@@ -89,103 +90,34 @@ struct JsonWriter {
 int main(int argc, char **argv) {
   std::string OutPath = argc > 1 ? argv[1] : "BENCH_commut_oracle.json";
 
-  std::vector<workloads::WorkloadInstance> All =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  All.insert(All.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  All.insert(All.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  All.insert(All.end(), Affine.begin(), Affine.end());
+  // The commut check group's suites minus the bluetooth family.
+  const check::Group &Commut = *check::findGroup("commut");
   std::vector<workloads::WorkloadInstance> Suite;
-  for (auto &W : All)
+  for (auto &W : Commut.Suite())
     if (W.Family != "bluetooth")
       Suite.push_back(std::move(W));
 
-  core::VerifierConfig Base;
-  Base.TimeoutSeconds = benchTimeout();
-  runtime::ParallelConfig PC;
-  PC.Jobs = 4; // fixed: the race's overlap is the thing being measured
-
-  std::string CacheDir =
-      (std::filesystem::temp_directory_path() /
-       ("seqver-bench-commut-" + std::to_string(getpid())))
-          .string();
-  std::error_code EC;
-  std::filesystem::remove_all(CacheDir, EC);
+  check::MatrixOptions O;
+  O.TimeoutSeconds = benchTimeout();
+  O.Jobs = 4; // fixed: the race's overlap is being measured
+  O.Out = stdout;
 
   std::printf("== Shared commutativity oracle (parallel portfolio, %u "
               "jobs) ==\n",
-              PC.Jobs);
+              O.Jobs);
   std::printf("(per-instance timeout %.0fs; sem = hub-merged semantic "
               "solver queries)\n\n",
               benchTimeout());
-  printTableHeader(
-      {"instance", "sem-priv", "sem-shared", "sem-cold", "sem-warm",
-       "hits-shared", "hits-warm"},
-      {20, 9, 10, 9, 9, 11, 9});
+  // The group's four arms in order on every workload: off, shared,
+  // persisted cold (flushed after the race), persisted warm (reloaded).
+  check::GroupResult R = check::runGroup(Commut, Suite, O);
+  for (const std::string &F : R.Failures)
+    std::fprintf(stderr, "check failed: %s\n", F.c_str());
 
-  ArmTotals Private, Shared, Cold, Warm;
-  int64_t WarmLoaded = 0;
-  for (const auto &W : Suite) {
-    // The disk namespace fingerprints the program the workers build: from
-    // source, no preprocessing (default ParallelConfig).
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 1;
-    }
-    persist::Fingerprint FP = persist::fingerprintProgram(*Build.Program);
-
-    PC.SharedCommut = nullptr;
-    runtime::ParallelPortfolioResult RPriv =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-    accumulate(Private, W, RPriv);
-
-    red::CommutOracle SharedTable;
-    PC.SharedCommut = &SharedTable;
-    runtime::ParallelPortfolioResult RShared =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-    accumulate(Shared, W, RShared);
-
-    red::CommutOracle ColdTable;
-    ColdTable.bindDisk(CacheDir, FP);
-    PC.SharedCommut = &ColdTable;
-    runtime::ParallelPortfolioResult RCold =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-    accumulate(Cold, W, RCold);
-    ColdTable.flushDisk();
-
-    red::CommutOracle WarmTable;
-    WarmLoaded += static_cast<int64_t>(WarmTable.bindDisk(CacheDir, FP));
-    PC.SharedCommut = &WarmTable;
-    runtime::ParallelPortfolioResult RWarm =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-    accumulate(Warm, W, RWarm);
-
-    printTableRow(
-        {W.Name, std::to_string(RPriv.Merged.get("commut_semantic")),
-         std::to_string(RShared.Merged.get("commut_semantic")),
-         std::to_string(RCold.Merged.get("commut_semantic")),
-         std::to_string(RWarm.Merged.get("commut_semantic")),
-         std::to_string(RShared.Merged.get("commut_shared_hits")),
-         std::to_string(RWarm.Merged.get("commut_shared_hits"))},
-        {20, 9, 10, 9, 9, 11, 9});
-  }
-  std::filesystem::remove_all(CacheDir, EC);
-
+  ArmTotals Private = totals(R, "off"), Shared = totals(R, "shared"),
+            Cold = totals(R, "cold"), Warm = totals(R, "warm");
   double SharedDrop = dropPct(Private.Semantic, Shared.Semantic);
   double WarmDrop = dropPct(Cold.Semantic, Warm.Semantic);
-  std::printf("\nsemantic solver queries: %lld private, %lld shared "
-              "(%.1f%% saved), %lld cold, %lld warm (%.1f%% saved)\n",
-              static_cast<long long>(Private.Semantic),
-              static_cast<long long>(Shared.Semantic), SharedDrop,
-              static_cast<long long>(Cold.Semantic),
-              static_cast<long long>(Warm.Semantic), WarmDrop);
   std::printf("successful: %d/%zu private, %d/%zu shared, %d/%zu cold, "
               "%d/%zu warm\n",
               Private.Successful, Suite.size(), Shared.Successful,
@@ -201,7 +133,7 @@ int main(int argc, char **argv) {
   JsonWriter J{F};
   J.field("schema_version", static_cast<int64_t>(1));
   J.field("instances", static_cast<int64_t>(Suite.size()));
-  J.field("jobs", static_cast<int64_t>(PC.Jobs));
+  J.field("jobs", static_cast<int64_t>(O.Jobs));
   J.field("successful_private", static_cast<int64_t>(Private.Successful));
   J.field("successful_shared", static_cast<int64_t>(Shared.Successful));
   J.field("successful_cold", static_cast<int64_t>(Cold.Successful));
@@ -214,7 +146,7 @@ int main(int argc, char **argv) {
   J.field("warm_drop_pct", WarmDrop);
   J.field("commut_shared_hits_shared", Shared.SharedHits);
   J.field("commut_shared_hits_warm", Warm.SharedHits);
-  J.field("warm_entries_loaded", WarmLoaded);
+  J.field("warm_entries_loaded", R.total("warm", "oracle_loaded"));
   J.field("smt_queries_private", Private.SmtQueries);
   J.field("smt_queries_shared", Shared.SmtQueries);
   J.field("smt_queries_warm", Warm.SmtQueries);

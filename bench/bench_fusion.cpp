@@ -16,9 +16,7 @@
 
 #include "Harness.h"
 
-#include "analysis/Analysis.h"
-#include "analysis/Fusion.h"
-#include "program/CfgBuilder.h"
+#include "CheckMatrix.h"
 
 #include <benchmark/benchmark.h>
 
@@ -48,42 +46,22 @@ struct SuiteFusion {
   }
 };
 
-/// Both sequential arms for one workload, accumulated into Out.
-void runArms(const workloads::WorkloadInstance &W, SuiteFusion &Out) {
-  core::VerifierConfig Config;
-  Config.TimeoutSeconds = benchTimeout();
-
-  smt::TermManager PlainTM;
-  prog::BuildResult Plain = prog::buildFromSource(W.Source, PlainTM);
-  if (!Plain.ok())
-    return;
-  analysis::pruneDeadEdges(*Plain.Program);
-  core::VerificationResult Unfused =
-      core::runSingleOrder(*Plain.Program, Config, "seq");
-
-  smt::TermManager FusedTM;
-  prog::BuildResult Fused = prog::buildFromSource(W.Source, FusedTM);
-  if (!Fused.ok())
-    return;
-  analysis::pruneDeadEdges(*Fused.Program);
-  analysis::FusionStats FS = analysis::fuseTransactions(*Fused.Program);
-  core::VerificationResult FusedRun =
-      core::runSingleOrder(*Fused.Program, Config, "seq");
-
-  if (Unfused.V != FusedRun.V)
-    ++Out.Mismatches;
-  Out.VisitedUnfused += Unfused.Stats.get("visited_total");
-  Out.VisitedFused += FusedRun.Stats.get("visited_total");
-  Out.FusedEdges += static_cast<int64_t>(FS.FusedEdges);
-  Out.Transactions += static_cast<int64_t>(FS.Transactions);
-}
-
+/// The fusion check group's two sequential arms (pruned unfused, pruned
+/// fused) over one suite.
 SuiteFusion runFusionSuite(const std::string &Name,
-                           const std::vector<workloads::WorkloadInstance> &S) {
+                           std::vector<workloads::WorkloadInstance> S) {
+  check::MatrixOptions O;
+  O.TimeoutSeconds = benchTimeout();
+  check::GroupResult R = check::runGroup(
+      check::selectArms(*check::findGroup("fusion"), {"unfused", "fused"}),
+      std::move(S), O);
   SuiteFusion Out;
   Out.Suite = Name;
-  for (const auto &W : S)
-    runArms(W, Out);
+  Out.VisitedUnfused = R.total("unfused", "visited_total");
+  Out.VisitedFused = R.total("fused", "visited_total");
+  Out.FusedEdges = R.total("fused", "fusion_fused_edges");
+  Out.Transactions = R.total("fused", "fusion_transactions");
+  Out.Mismatches = static_cast<int>(R.Failures.size());
   return Out;
 }
 
@@ -99,7 +77,7 @@ std::vector<SuiteFusion> runAllSuites() {
 /// Suite-level fused-vs-unfused DFS state counts; the counters land in the
 /// --benchmark_out JSON so BENCH_fusion.json tracks the reduction over
 /// time. loop_heavy and affine must show a strict reduction (the
-/// --check-fusion acceptance gate re-checks verdict agreement).
+/// --check=fusion acceptance gate re-checks verdict agreement).
 void BM_TransactionFusion(benchmark::State &State) {
   std::vector<SuiteFusion> Suites;
   for (auto _ : State) {

@@ -104,13 +104,14 @@ struct VerifierConfig {
   bool SeedProof = false;
   /// Cap on seeded predicates (bounds per-step Hoare query growth).
   size_t MaxSeedPredicates = 64;
-  /// Fuse Lipton transactions (analysis/Fusion.h) into the program before
-  /// verification. Like dead-edge pruning this is a *program preparation*
-  /// step honored by the seams that own the program — the CLI, the
-  /// parallel portfolio's workers (via ParallelConfig::FuseTransactions)
-  /// and the benches — not by the Verifier itself, which runs whatever
-  /// program it is handed. Recorded here so one config object can describe
-  /// a full pipeline run.
+  /// Program preparation (core/Prepare.h): prune statically dead edges
+  /// with the invariant domains selected by OctagonTier/KarrTier, then
+  /// fuse Lipton transactions (analysis/Fusion.h). Honored by
+  /// core::prepareProgram, which every seam that owns a program calls —
+  /// the CLI, the parallel portfolio's workers, the check matrix, the
+  /// benches — not by the Verifier itself, which runs whatever program it
+  /// is handed.
+  bool PruneDeadEdges = false;
   bool FuseTransactions = false;
   /// Directory of the persistent proof cache (docs/PERSIST.md); empty
   /// disables it. On construction the verifier fingerprints the program
@@ -131,9 +132,10 @@ struct VerifierConfig {
   /// memo table under manager-independent canonical keys, installed into
   /// this verifier's CommutativityChecker. Non-owning; the caller keeps the
   /// oracle alive for the run and decides its scope — the parallel
-  /// portfolio shares one across all workers (ParallelConfig::SharedCommut),
-  /// the CLI optionally binds it to disk (--commut-cache). Null keeps the
-  /// historical private-cache-only behavior.
+  /// portfolio hands it to every worker, so a pair any worker settles is
+  /// settled for the fleet; the CLI optionally binds it to disk
+  /// (--commut-cache). Null keeps the historical private-cache-only
+  /// behavior.
   red::CommutOracle *SharedCommut = nullptr;
   /// Incremental SMT (docs/PERF.md §7): commutativity and Hoare queries run
   /// through per-pair / per-letter smt::Sessions, so the encoding, learned
@@ -141,7 +143,7 @@ struct VerifierConfig {
   /// instead of being rebuilt per query. Verdict-neutral by construction
   /// (assumption-based activation never changes satisfiability, and the
   /// consumers replicate the fresh path's fast paths); the differential
-  /// gate (--check-incremental) enforces this. Disable with
+  /// gate (--check=incremental) enforces this. Disable with
   /// --no-incremental to get one fresh solver instance per query.
   bool IncrementalSmt = true;
   int MaxRounds = 500;

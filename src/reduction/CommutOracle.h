@@ -3,8 +3,9 @@
 /// \file
 /// A process-wide oracle for settled (conditional) commutativity queries,
 /// shared by every CommutativityChecker that is handed a pointer to it —
-/// all parallel-portfolio workers in particular (ParallelConfig::
-/// SharedCommut): a pair any worker settles is settled for the fleet.
+/// all parallel-portfolio workers in particular (the race's base
+/// VerifierConfig::SharedCommut): a pair any worker settles is settled
+/// for the fleet.
 ///
 /// **Canonical key.** The per-checker cache keys on raw `smt::Term`
 /// pointers, which are meaningless outside one TermManager. The oracle

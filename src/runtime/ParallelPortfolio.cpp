@@ -2,8 +2,7 @@
 
 #include "runtime/ParallelPortfolio.h"
 
-#include "analysis/Analysis.h"
-#include "analysis/Fusion.h"
+#include "core/Prepare.h"
 #include "program/CfgBuilder.h"
 #include "runtime/Cancellation.h"
 #include "runtime/Executor.h"
@@ -13,6 +12,7 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <optional>
 
 using namespace seqver;
 using namespace seqver::runtime;
@@ -29,16 +29,16 @@ double ParallelPortfolioResult::sumSeconds() const {
 
 namespace {
 
-/// One racing task: rebuild the program, select the OrderIdx-th portfolio
-/// order, verify under the shared token. Never throws past the future
-/// boundary by construction (build errors become Unknown).
+/// One racing task: rebuild and prepare the program, select the OrderIdx-th
+/// portfolio order, verify under the shared token. Never throws past the
+/// future boundary by construction (build errors become Unknown, with Prep
+/// left empty).
 VerificationResult verifyOneOrder(const std::string &Source,
                                   const VerifierConfig &Base,
-                                  size_t OrderIdx, bool Prune,
-                                  analysis::PrunePreset Preset, bool Fuse,
-                                  bool UseCache, red::CommutOracle *Oracle,
+                                  size_t OrderIdx,
                                   const CancellationToken *Race,
-                                  Statistics *Sink) {
+                                  Statistics *Sink,
+                                  std::optional<core::PrepareStats> &Prep) {
   smt::TermManager TM;
   prog::BuildResult Build = prog::buildFromSource(Source, TM);
   if (!Build.ok()) {
@@ -46,43 +46,13 @@ VerificationResult verifyOneOrder(const std::string &Source,
     R.V = Verdict::Unknown;
     return R;
   }
-  if (Prune) {
-    analysis::PruneStats PS;
-    analysis::pruneDeadEdges(*Build.Program, Preset, &PS);
-    if (Sink) {
-      Sink->add("edges_pruned", static_cast<int64_t>(PS.Removed));
-      auto KarrIt = PS.BySource.find("karr");
-      if (KarrIt != PS.BySource.end())
-        Sink->add("karr_pruned", static_cast<int64_t>(KarrIt->second));
-    }
-  }
-  if (Fuse) {
-    // Fuse before the orders are built: preference orders hold per-letter
-    // vectors sized at construction, so the alphabet must be final here.
-    analysis::FusionStats FS = analysis::fuseTransactions(*Build.Program);
-    if (Sink) {
-      Sink->add("fusion_fused_edges", static_cast<int64_t>(FS.FusedEdges));
-      Sink->add("fusion_transactions",
-                static_cast<int64_t>(FS.Transactions));
-      Sink->setMax("fusion_alphabet_before",
-                   static_cast<int64_t>(FS.AlphabetBefore));
-      Sink->setMax("fusion_alphabet_after",
-                   static_cast<int64_t>(FS.AlphabetAfter));
-      Sink->setMax("fusion_states_before",
-                   static_cast<int64_t>(FS.StatesBefore));
-      Sink->setMax("fusion_states_after",
-                   static_cast<int64_t>(FS.StatesAfter));
-    }
-  }
+  Prep = core::prepareProgram(*Build.Program, Base);
 
   auto Orders = red::makePortfolioOrders(*Build.Program, Base.RandOrders,
                                          Base.RandSeedBase);
   VerifierConfig Config = Base;
   Config.Order = Orders[OrderIdx].get();
   Config.Cancel = Race;
-  Config.SharedCommut = Oracle;
-  if (!UseCache)
-    Config.CacheDir.clear();
   core::Verifier V(*Build.Program, Config);
   VerificationResult R = V.run();
   // Each worker owns its sink (registered before launch, see the hub's
@@ -95,8 +65,7 @@ VerificationResult verifyOneOrder(const std::string &Source,
 } // namespace
 
 ParallelPortfolioResult seqver::runtime::runPortfolioParallel(
-    const std::string &Source, const VerifierConfig &Base,
-    const ParallelConfig &PC) {
+    const std::string &Source, const VerifierConfig &Base, unsigned Jobs) {
   ParallelPortfolioResult Out;
   Timer Wall;
 
@@ -119,7 +88,6 @@ ParallelPortfolioResult seqver::runtime::runPortfolioParallel(
     Sinks.push_back(&Hub.registerSink());
   Hub.start(); // seal registration before any worker can run
 
-  unsigned Jobs = PC.Jobs;
   if (Jobs == 0) {
     Jobs = std::thread::hardware_concurrency();
     if (Jobs == 0)
@@ -129,21 +97,16 @@ ParallelPortfolioResult seqver::runtime::runPortfolioParallel(
 
   std::vector<std::future<VerificationResult>> Futures;
   Futures.reserve(NumOrders);
+  // One slot per task, written only by that task and read after the join.
+  std::vector<std::optional<core::PrepareStats>> Preps(NumOrders);
   {
     Executor Pool(Jobs);
     for (size_t I = 0; I < NumOrders; ++I) {
-      analysis::PrunePreset Preset =
-          PC.KarrPrune ? analysis::PrunePreset::Full
-          : PC.OctagonPrune ? analysis::PrunePreset::WithOctagons
-                            : analysis::PrunePreset::IntervalOnly;
       Futures.push_back(Pool.submit(
-          [&Source, &Base, I, Prune = PC.PruneDeadEdges, Preset,
-           Fuse = PC.FuseTransactions, UseCache = PC.UseProofCache,
-           Oracle = PC.SharedCommut, Race,
-           Sink = Sinks[I]]() -> VerificationResult {
+          [&Source, &Base, I, Race, Sink = Sinks[I],
+           &Prep = Preps[I]]() -> VerificationResult {
             VerificationResult R =
-                verifyOneOrder(Source, Base, I, Prune, Preset, Fuse,
-                               UseCache, Oracle, Race.get(), Sink);
+                verifyOneOrder(Source, Base, I, Race.get(), Sink, Prep);
             // First decisive verdict stops the race; calling this for
             // every decisive finisher is idempotent.
             if (core::isDecisive(R.V))
@@ -203,5 +166,11 @@ ParallelPortfolioResult seqver::runtime::runPortfolioParallel(
   Out.Merged = Hub.merged();
   Out.Merged.add("portfolio_decisive_orders", DecisiveCount);
   Out.Merged.add("portfolio_cancelled_orders", CancelledCount);
+  for (const std::optional<core::PrepareStats> &Prep : Preps) {
+    if (Prep) {
+      Prep->record(Out.Merged);
+      break;
+    }
+  }
   return Out;
 }

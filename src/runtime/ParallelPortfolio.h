@@ -11,9 +11,20 @@
 ///
 /// Isolation: every worker builds its *own* program from source with its
 /// own TermManager — term construction mutates the manager, so racing
-/// verifiers must not share one. Orders are reconstructed per worker from
-/// the config's RandSeedBase (support/Random.h has no shared state), so
-/// all workers see the identical portfolio.
+/// verifiers must not share one — and prepares it with
+/// core::prepareProgram under the base config, so every worker verifies
+/// the identical program. Orders are reconstructed per worker from the
+/// config's RandSeedBase (support/Random.h has no shared state), so all
+/// workers see the identical portfolio.
+///
+/// Sharing: the base config's CacheDir (proof cache, docs/PERSIST.md) and
+/// SharedCommut (commutativity oracle, reduction/CommutOracle.h) reach
+/// every worker unchanged. All workers share one proof store: each loads
+/// at construction and the decisive finishers write back, last-writer-wins
+/// through atomic renames. One oracle is sound to share because all
+/// workers build the identical program and the canonical key fully
+/// determines a query's answer; the per-worker hit/miss/store traffic
+/// lands in the sinks as commut_shared_hits / _misses / _stores.
 ///
 /// Determinism: all orders run sound analyses of the same program, so
 /// every decisive verdict agrees; the *verdict* is therefore independent
@@ -36,52 +47,6 @@
 namespace seqver {
 namespace runtime {
 
-/// Scheduler knobs for one parallel portfolio race.
-struct ParallelConfig {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
-  unsigned Jobs = 0;
-  /// Apply analysis::pruneDeadEdges to each worker's program copy (the
-  /// CLI's default preprocessing; must match the sequential path when
-  /// comparing verdicts).
-  bool PruneDeadEdges = false;
-  /// Use octagon invariants in addition to intervals when pruning (only
-  /// meaningful with PruneDeadEdges; must match the sequential path's
-  /// --octagon setting when comparing verdicts).
-  bool OctagonPrune = false;
-  /// Use Karr affine equalities on top of the octagons when pruning (only
-  /// meaningful with PruneDeadEdges and OctagonPrune; must match the
-  /// sequential path's --karr setting when comparing verdicts). Each
-  /// worker's removed-edge counts land in its statistics sink as
-  /// edges_pruned / karr_pruned.
-  bool KarrPrune = false;
-  /// Fuse Lipton transactions in each worker's program copy after pruning
-  /// (analysis/Fusion.h; must match the sequential path's --fuse setting
-  /// when comparing verdicts). Each worker's fusion counters land in its
-  /// statistics sink as fusion_fused_edges / fusion_transactions /
-  /// fusion_alphabet_before / fusion_alphabet_after /
-  /// fusion_states_before / fusion_states_after.
-  bool FuseTransactions = false;
-  /// Let workers use the persistent proof cache configured in the base
-  /// VerifierConfig (CacheDir). All workers share one store: each loads at
-  /// construction and the decisive finishers write back, last-writer-wins
-  /// through atomic renames (docs/PERSIST.md). A worker that starts after
-  /// an early finisher stored may warm-start from this very race — that is
-  /// the shared cache working as intended. False forces every worker cold
-  /// (the differential gate's cold arm) without touching the base config.
-  bool UseProofCache = true;
-  /// Shared commutativity oracle for the whole race
-  /// (reduction/CommutOracle.h): every worker's CommutativityChecker
-  /// consults and feeds one memo table under manager-independent canonical
-  /// keys, so a pair any worker settles is settled for the fleet — the
-  /// per-worker hit/miss/store traffic lands in the sinks as
-  /// commut_shared_hits / commut_shared_misses / commut_shared_stores and
-  /// merges through the hub. Non-owning; null keeps workers on their
-  /// private caches. Sound to share across workers because they all build
-  /// the identical program (same source, same preprocessing flags), and
-  /// the canonical key fully determines the query's answer.
-  red::CommutOracle *SharedCommut = nullptr;
-};
-
 struct ParallelPortfolioResult {
   /// Winner's result (deterministic tie-break; see file comment). Its
   /// Seconds is the winner's own run time — the as-if-parallel aggregate.
@@ -93,8 +58,10 @@ struct ParallelPortfolioResult {
   double WallSeconds = 0;
   /// Worker threads actually used.
   unsigned Jobs = 0;
-  /// Per-worker statistics sinks merged after the join (plus scheduler
-  /// counters: portfolio_cancelled_orders, portfolio_decisive_orders).
+  /// Per-worker statistics sinks merged after the join, plus scheduler
+  /// counters (portfolio_cancelled_orders, portfolio_decisive_orders) and
+  /// the preparation counters of the program (core::PrepareStats::record),
+  /// recorded once for the race: every worker prepares the same program.
   Statistics Merged;
 
   bool decisive() const { return core::isDecisive(Best.V); }
@@ -103,14 +70,14 @@ struct ParallelPortfolioResult {
   double sumSeconds() const;
 };
 
-/// Races the full portfolio over Source. Base supplies everything but the
+/// Races the full portfolio over Source on Jobs worker threads (0 =
+/// std::thread::hardware_concurrency()). Base supplies everything but the
 /// order (Order is overridden per task; Cancel is overridden with the
 /// race's shared token). Base.TimeoutSeconds, when positive, is armed as a
 /// real deadline for the race as a whole and for each task.
 ParallelPortfolioResult
 runPortfolioParallel(const std::string &Source,
-                     const core::VerifierConfig &Base,
-                     const ParallelConfig &PC = {});
+                     const core::VerifierConfig &Base, unsigned Jobs = 0);
 
 } // namespace runtime
 } // namespace seqver

@@ -17,7 +17,9 @@
 #include "analysis/OctagonProp.h"
 #include "analysis/StaticCommutativity.h"
 #include "core/Portfolio.h"
+#include "core/Prepare.h"
 #include "core/Proof.h"
+#include "persist/Fingerprint.h"
 #include "program/CfgBuilder.h"
 #include "workloads/Workloads.h"
 
@@ -1110,6 +1112,105 @@ TEST(StaticTier, SettlesQueriesWithoutChangingTheVerdict) {
   // Every statically settled query is a semantic check saved.
   EXPECT_LT(On.Stats.get("semantic_commut_checks"),
             Off.Stats.get("semantic_commut_checks"));
+}
+
+//===----------------------------------------------------------------------===//
+// Program preparation (core/Prepare.h)
+//===----------------------------------------------------------------------===//
+
+/// x == 2*y through the loop makes `assume x - 2*y >= 1` dead; only the
+/// Karr domain sees it (intervals and octagons cannot express the
+/// non-unit coefficient).
+const char *const KarrOnlyDeadEdge = "var int x := 0;\nvar int y := 0;\n"
+                                     "thread t {\n"
+                                     "  while (*) { x := x + 2; y := y + 1; }\n"
+                                     "  assume x - 2 * y >= 1;\n"
+                                     "  x := 42;\n"
+                                     "}\n";
+
+TEST(PrepareProgram, KarrTierOffPrunesLikeWithOctagons) {
+  smt::TermManager TM1, TM2, TM3;
+  auto Prepared = build(KarrOnlyDeadEdge, TM1);
+  auto ByPreset = build(KarrOnlyDeadEdge, TM2);
+  auto Full = build(KarrOnlyDeadEdge, TM3);
+
+  core::VerifierConfig NoKarr;
+  NoKarr.PruneDeadEdges = true;
+  NoKarr.KarrTier = false;
+  EXPECT_EQ(core::prunePreset(NoKarr), PrunePreset::WithOctagons);
+  core::PrepareStats PS = core::prepareProgram(*Prepared, NoKarr);
+  PruneStats Expected;
+  pruneDeadEdges(*ByPreset, PrunePreset::WithOctagons, &Expected);
+  EXPECT_TRUE(PS.Pruned);
+  EXPECT_FALSE(PS.Fused);
+  EXPECT_EQ(PS.Prune.Removed, Expected.Removed);
+  EXPECT_EQ(PS.Prune.BySource, Expected.BySource);
+  EXPECT_EQ(persist::fingerprintProgram(*Prepared),
+            persist::fingerprintProgram(*ByPreset));
+
+  // The full preset removes the Karr-only dead edge on top, so the
+  // comparison above can tell the presets apart.
+  core::VerifierConfig AllTiers;
+  AllTiers.PruneDeadEdges = true;
+  core::PrepareStats FullStats = core::prepareProgram(*Full, AllTiers);
+  EXPECT_GT(FullStats.Prune.Removed, PS.Prune.Removed);
+  EXPECT_GE(FullStats.Prune.BySource["karr"], 1u);
+  EXPECT_NE(persist::fingerprintProgram(*Full),
+            persist::fingerprintProgram(*Prepared));
+}
+
+TEST(PrepareProgram, OctagonTierOffPrunesIntervalOnly) {
+  core::VerifierConfig Config;
+  Config.OctagonTier = false;
+  EXPECT_EQ(core::prunePreset(Config), PrunePreset::IntervalOnly);
+  Config.KarrTier = false;
+  EXPECT_EQ(core::prunePreset(Config), PrunePreset::IntervalOnly);
+}
+
+TEST(PrepareProgram, DefaultConfigLeavesTheProgramAlone) {
+  smt::TermManager TM1, TM2;
+  auto P = build(KarrOnlyDeadEdge, TM1);
+  auto Untouched = build(KarrOnlyDeadEdge, TM2);
+  core::PrepareStats PS = core::prepareProgram(*P, core::VerifierConfig());
+  EXPECT_FALSE(PS.Pruned);
+  EXPECT_FALSE(PS.Fused);
+  EXPECT_EQ(persist::fingerprintProgram(*P),
+            persist::fingerprintProgram(*Untouched));
+  Statistics Sink;
+  PS.record(Sink);
+  EXPECT_TRUE(Sink.all().empty());
+}
+
+TEST(PrepareProgram, SamePreparationFollowsThePrepareFlags) {
+  core::VerifierConfig A, B;
+  EXPECT_TRUE(core::samePreparation(A, B));
+  B.KarrTier = false; // no prune: the preset does not matter
+  EXPECT_TRUE(core::samePreparation(A, B));
+  A.PruneDeadEdges = B.PruneDeadEdges = true;
+  EXPECT_FALSE(core::samePreparation(A, B)); // Full vs WithOctagons
+  A.KarrTier = false;
+  EXPECT_TRUE(core::samePreparation(A, B));
+  A.SeedProof = true; // not a preparation setting
+  EXPECT_TRUE(core::samePreparation(A, B));
+  B.FuseTransactions = true;
+  EXPECT_FALSE(core::samePreparation(A, B));
+}
+
+TEST(PrepareProgram, RecordsEachCounterOnce) {
+  smt::TermManager TM;
+  auto P = build(workloads::bluetoothSource(2), TM);
+  core::VerifierConfig Config;
+  Config.PruneDeadEdges = true;
+  Config.FuseTransactions = true;
+  core::PrepareStats PS = core::prepareProgram(*P, Config);
+  ASSERT_TRUE(PS.Fused);
+  ASSERT_GE(PS.Fusion.Transactions, 1u);
+  Statistics Sink;
+  PS.record(Sink);
+  EXPECT_EQ(Sink.get("edges_pruned"), PS.Prune.Removed);
+  EXPECT_EQ(Sink.get("fusion_transactions"), PS.Fusion.Transactions);
+  EXPECT_EQ(Sink.get("fusion_fused_edges"), PS.Fusion.FusedEdges);
+  EXPECT_EQ(Sink.get("fusion_states_after"), PS.Fusion.StatesAfter);
 }
 
 } // namespace

@@ -248,16 +248,14 @@ TEST(SharedOracleTest, ParallelPortfolioRerunHitsSharedTable) {
                              "thread c { assert y >= 0; }";
   core::VerifierConfig Base;
   Base.TimeoutSeconds = 20;
-  runtime::ParallelConfig PC;
-  PC.Jobs = 2;
   CommutOracle Oracle;
-  PC.SharedCommut = &Oracle;
+  Base.SharedCommut = &Oracle;
   runtime::ParallelPortfolioResult R1 =
-      runtime::runPortfolioParallel(Source, Base, PC);
+      runtime::runPortfolioParallel(Source, Base, /*Jobs=*/2);
   ASSERT_TRUE(R1.decisive());
   EXPECT_GT(Oracle.size(), 0u);
   runtime::ParallelPortfolioResult R2 =
-      runtime::runPortfolioParallel(Source, Base, PC);
+      runtime::runPortfolioParallel(Source, Base, /*Jobs=*/2);
   EXPECT_EQ(R1.Best.V, R2.Best.V);
   EXPECT_GT(R2.Merged.get("commut_shared_hits"), 0);
 }

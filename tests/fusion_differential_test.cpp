@@ -1,22 +1,19 @@
 //===- tests/fusion_differential_test.cpp - Fused vs unfused gate ---------===//
 ///
 /// \file
-/// Differential suite for transaction fusion (analysis/Fusion.h): for every
-/// tier-1 workload, the verifier must reach the same verdict on the fused
-/// program as on the unfused one — sequentially on the deterministic "seq"
-/// order, and through the parallel portfolio with
-/// ParallelConfig::FuseTransactions. Fusion is a pure reduction: it must
-/// never flip a verdict, and on the loop-heavy and affine suites it must
-/// strictly shrink the explored DFS state count.
+/// Differential suite for transaction fusion (analysis/Fusion.h), run
+/// through the check matrix's fusion group (tools/CheckMatrix.h): for
+/// every tier-1 workload, the verifier must reach the same verdict on the
+/// fused program as on the unfused one — sequentially on the deterministic
+/// "seq" order, and through the parallel portfolio whose workers prepare
+/// the fused program themselves (VerifierConfig::FuseTransactions). Fusion
+/// is a pure reduction: it must never flip a verdict, and on the
+/// loop-heavy and affine suites it must strictly shrink the explored DFS
+/// state count.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Analysis.h"
-#include "analysis/Fusion.h"
-#include "core/Portfolio.h"
-#include "program/CfgBuilder.h"
-#include "runtime/ParallelPortfolio.h"
-#include "workloads/Workloads.h"
+#include "CheckMatrix.h"
 
 #include <gtest/gtest.h>
 
@@ -28,66 +25,36 @@ using namespace seqver;
 
 namespace {
 
-core::VerifierConfig gateConfig() {
-  core::VerifierConfig Config;
-  Config.TimeoutSeconds = 20;
-  return Config;
+check::MatrixOptions gateOptions() {
+  check::MatrixOptions O;
+  O.TimeoutSeconds = 20;
+  O.Jobs = 2;
+  return O;
 }
 
-/// Suite-level rollup of one fused-vs-unfused sweep.
-struct SweepTotals {
-  int64_t VisitedUnfused = 0;
-  int64_t VisitedFused = 0;
-  uint32_t Transactions = 0;
-};
-
-/// Runs both sequential arms ("seq" order, pruned program) for one workload
-/// and checks verdict agreement plus ground truth.
-void runSequentialArms(const workloads::WorkloadInstance &W,
-                       SweepTotals &Totals) {
-  core::VerifierConfig Config = gateConfig();
-
-  smt::TermManager PlainTM;
-  prog::BuildResult Plain = prog::buildFromSource(W.Source, PlainTM);
-  ASSERT_TRUE(Plain.ok()) << W.Name << ": " << Plain.Error;
-  analysis::pruneDeadEdges(*Plain.Program);
-  core::VerificationResult Unfused =
-      core::runSingleOrder(*Plain.Program, Config, "seq");
-
-  smt::TermManager FusedTM;
-  prog::BuildResult FusedBuild = prog::buildFromSource(W.Source, FusedTM);
-  ASSERT_TRUE(FusedBuild.ok()) << W.Name << ": " << FusedBuild.Error;
-  analysis::pruneDeadEdges(*FusedBuild.Program);
-  analysis::FusionStats FS = analysis::fuseTransactions(*FusedBuild.Program);
-  core::VerificationResult Fused =
-      core::runSingleOrder(*FusedBuild.Program, Config, "seq");
-
-  EXPECT_EQ(Unfused.V, Fused.V)
-      << W.Name << ": unfused " << core::verdictName(Unfused.V)
-      << " vs fused " << core::verdictName(Fused.V);
-  if (core::isDecisive(Unfused.V)) {
-    EXPECT_EQ(Unfused.V == core::Verdict::Correct, W.ExpectedCorrect)
-        << W.Name;
-  }
-
-  Totals.VisitedUnfused += Unfused.Stats.get("visited_total");
-  Totals.VisitedFused += Fused.Stats.get("visited_total");
-  Totals.Transactions += FS.Transactions;
+/// Runs the named arms of the fusion group over Suite; every decisive
+/// verdict must agree and match ground truth.
+check::GroupResult runArms(const std::vector<std::string> &Arms,
+                           std::vector<workloads::WorkloadInstance> Suite) {
+  check::GroupResult R =
+      check::runGroup(check::selectArms(*check::findGroup("fusion"), Arms),
+                      std::move(Suite), gateOptions());
+  for (const std::string &F : R.Failures)
+    ADD_FAILURE() << F;
+  return R;
 }
 
-void runSuite(const std::vector<workloads::WorkloadInstance> &Suite,
+void runSuite(std::vector<workloads::WorkloadInstance> Suite,
               bool RequireStrictShrink) {
-  SweepTotals Totals;
-  for (const auto &W : Suite) {
-    SCOPED_TRACE(W.Name);
-    runSequentialArms(W, Totals);
-  }
+  check::GroupResult R = runArms({"unfused", "fused"}, std::move(Suite));
+  int64_t VisitedUnfused = R.total("unfused", "visited_total");
+  int64_t VisitedFused = R.total("fused", "visited_total");
   // Fusion never explores more: fused transactions skip the interleavings
   // the mover analysis proved equivalent.
-  EXPECT_LE(Totals.VisitedFused, Totals.VisitedUnfused);
-  EXPECT_GE(Totals.Transactions, 1u);
+  EXPECT_LE(VisitedFused, VisitedUnfused);
+  EXPECT_GE(R.total("fused", "fusion_transactions"), 1);
   if (RequireStrictShrink) {
-    EXPECT_LT(Totals.VisitedFused, Totals.VisitedUnfused);
+    EXPECT_LT(VisitedFused, VisitedUnfused);
   }
 }
 
@@ -109,46 +76,13 @@ TEST(FusionDifferential, AffineSuiteStrictlyShrinks) {
 
 /// The parallel portfolio with in-worker fusion agrees with the unfused
 /// sequential baseline on every tier-1 workload, and the fusion counters
-/// surface through the merged statistics hub.
+/// surface through the merged statistics.
 TEST(FusionDifferential, ParallelPortfolioAgreesOnTier1) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  for (const auto &W : workloads::weaverLikeSuite())
-    Suite.push_back(W);
-  for (const auto &W : workloads::loopHeavySuite())
-    Suite.push_back(W);
-  for (const auto &W : workloads::affineSuite())
-    Suite.push_back(W);
-
-  int64_t MergedTransactions = 0;
-  for (const auto &W : Suite) {
-    SCOPED_TRACE(W.Name);
-    core::VerifierConfig Config = gateConfig();
-
-    smt::TermManager TM;
-    prog::BuildResult B = prog::buildFromSource(W.Source, TM);
-    ASSERT_TRUE(B.ok()) << W.Name << ": " << B.Error;
-    analysis::pruneDeadEdges(*B.Program);
-    core::VerificationResult Unfused =
-        core::runSingleOrder(*B.Program, Config, "seq");
-
-    runtime::ParallelConfig PC;
-    PC.Jobs = 2;
-    PC.PruneDeadEdges = true;
-    PC.OctagonPrune = true;
-    PC.KarrPrune = true;
-    PC.FuseTransactions = true;
-    runtime::ParallelPortfolioResult Par =
-        runtime::runPortfolioParallel(W.Source, Config, PC);
-
-    EXPECT_EQ(Unfused.V, Par.Best.V)
-        << W.Name << ": sequential unfused " << core::verdictName(Unfused.V)
-        << " vs parallel fused " << core::verdictName(Par.Best.V);
-    MergedTransactions += Par.Merged.get("fusion_transactions");
-  }
-  // At least one worker fused at least one transaction somewhere in tier 1
-  // and the hub merge carried the counter through.
-  EXPECT_GE(MergedTransactions, 1);
+  check::GroupResult R = runArms({"unfused", "par-fused"},
+                                 check::findGroup("fusion")->Suite());
+  // At least one transaction was fused somewhere in tier 1 and the merged
+  // statistics carried the counter through.
+  EXPECT_GE(R.total("par-fused", "fusion_transactions"), 1);
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 //===- tests/incremental_differential_test.cpp - Sessions vs fresh gate ---===//
 ///
 /// \file
-/// Differential suite for the incremental SMT sessions (smt::Session): for
-/// every tier-1 workload, the verifier must reach the same verdict with
+/// Differential suite for the incremental SMT sessions (smt::Session), run
+/// through the check matrix (tools/CheckMatrix.h): for every tier-1
+/// workload, the verifier must reach the same verdict with
 /// VerifierConfig::IncrementalSmt on (the default: one persistent solver
 /// per letter pair / transition letter, queries posed as assumptions) as
 /// with it off (one throwaway solver per query). Sessions only change how
@@ -10,17 +11,15 @@
 /// state — a learned clause, a retained theory lemma, a stale memo entry —
 /// leaked into a query it does not hold for.
 ///
-/// Every third workload additionally sweeps the four --check-tiers arm
-/// configurations (full static stack, Karr off, proof seeding on, interval
-/// only) under both modes: the tier configuration decides which queries
-/// reach the solver at all, so each arm exercises a different session
-/// query stream.
+/// Every third workload additionally sweeps the four arms of the tiers
+/// group (full static stack, Karr off, proof seeding on, interval only)
+/// under both modes: the tier configuration decides which queries reach
+/// the solver at all, so each arm exercises a different session query
+/// stream.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Portfolio.h"
-#include "program/CfgBuilder.h"
-#include "workloads/Workloads.h"
+#include "CheckMatrix.h"
 
 #include <gtest/gtest.h>
 
@@ -31,46 +30,38 @@ using namespace seqver;
 
 namespace {
 
-core::VerifierConfig gateConfig() {
-  core::VerifierConfig Config;
-  Config.TimeoutSeconds = 20;
-  return Config;
+check::MatrixOptions gateOptions() {
+  check::MatrixOptions O;
+  O.TimeoutSeconds = 20;
+  return O;
 }
 
-/// Runs W under Config with sessions on and off; both verdicts must agree
-/// (and match ground truth when decisive).
-void runBothModes(const workloads::WorkloadInstance &W,
-                  core::VerifierConfig Config, const char *Arm) {
-  smt::TermManager TM;
-  prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-  ASSERT_TRUE(Build.ok()) << W.Name << ": " << Build.Error;
-
-  Config.IncrementalSmt = true;
-  core::VerificationResult Inc =
-      core::runSingleOrder(*Build.Program, Config, "seq");
-  Config.IncrementalSmt = false;
-  core::VerificationResult Fresh =
-      core::runSingleOrder(*Build.Program, Config, "seq");
-
-  EXPECT_EQ(Inc.V, Fresh.V)
-      << W.Name << " (" << Arm << "): incremental "
-      << core::verdictName(Inc.V) << " vs fresh "
-      << core::verdictName(Fresh.V);
-  if (core::isDecisive(Inc.V)) {
-    EXPECT_EQ(Inc.V == core::Verdict::Correct, W.ExpectedCorrect)
-        << W.Name << " (" << Arm << ")";
-  }
-  // The incremental arm must actually have used sessions (unless no query
-  // ever reached the solver).
-  if (Fresh.Stats.get("smt_queries") > 0) {
-    EXPECT_GT(Inc.Stats.get("smt_sessions"), 0)
-        << W.Name << " (" << Arm << ")";
+/// Runs G over Suite: every arm must return the same verdict, a decisive
+/// one matching ground truth, and each incremental arm must actually have
+/// used sessions (unless no query ever reached the solver in its fresh twin).
+void runGroup(const check::Group &G,
+              std::vector<workloads::WorkloadInstance> Suite,
+              bool Quick = false) {
+  check::MatrixOptions O = gateOptions();
+  O.Quick = Quick;
+  check::GroupResult R = check::runGroup(G, std::move(Suite), O);
+  for (const std::string &F : R.Failures)
+    ADD_FAILURE() << F;
+  for (const check::Row &Row : R.Rows) {
+    for (size_t J = 0; J + 1 < G.Arms.size(); J += 2) {
+      const check::ArmRun &Inc = Row.Runs[J], &Fresh = Row.Runs[J + 1];
+      if (Fresh.Stats.get("smt_queries") > 0) {
+        EXPECT_GT(Inc.Stats.get("smt_sessions"), 0)
+            << Row.W.Name << " (" << G.Arms[J].Name << ")";
+      }
+    }
   }
 }
 
-void runSuite(const std::vector<workloads::WorkloadInstance> &Suite) {
-  for (const auto &W : Suite)
-    runBothModes(W, gateConfig(), "full");
+void runSuite(std::vector<workloads::WorkloadInstance> Suite) {
+  runGroup(check::selectArms(*check::findGroup("incremental"),
+                             {"incremental", "fresh"}),
+           std::move(Suite));
 }
 
 TEST(IncrementalDifferential, SvcompLikeSuite) {
@@ -89,40 +80,26 @@ TEST(IncrementalDifferential, AffineSuite) {
   runSuite(workloads::affineSuite());
 }
 
-/// The four --check-tiers arms, every third workload of the concatenated
-/// tier-1 suites: each arm routes a different query mix into the sessions.
+/// The four tiers-group arms, each with sessions on and off, on every
+/// third workload of the concatenated tier-1 suites: each arm routes a
+/// different query mix into the sessions.
 TEST(IncrementalDifferential, TierArms) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-
-  for (size_t I = 0; I < Suite.size(); I += 3) {
-    const auto &W = Suite[I];
-
-    core::VerifierConfig Full = gateConfig();
-    runBothModes(W, Full, "full");
-
-    core::VerifierConfig NoKarr = gateConfig();
-    NoKarr.KarrTier = false;
-    runBothModes(W, NoKarr, "no-karr");
-
-    core::VerifierConfig Seeded = gateConfig();
-    Seeded.SeedProof = true;
-    runBothModes(W, Seeded, "seeded");
-
-    core::VerifierConfig IntOnly = gateConfig();
-    IntOnly.OctagonTier = false;
-    IntOnly.KarrTier = false;
-    runBothModes(W, IntOnly, "int-only");
+  const check::Group &Tiers = *check::findGroup("tiers");
+  check::Group G;
+  G.Name = "tiers-x-incremental";
+  for (const check::Arm &A : Tiers.Arms) {
+    check::Arm Inc = A, Fresh = A;
+    Inc.Name += "/inc";
+    Fresh.Name += "/fresh";
+    Fresh.Delta = [Delta = A.Delta](core::VerifierConfig &Config) {
+      if (Delta)
+        Delta(Config);
+      Config.IncrementalSmt = false;
+    };
+    G.Arms.push_back(Inc);
+    G.Arms.push_back(Fresh);
   }
+  runGroup(G, Tiers.Suite(), /*Quick=*/true);
 }
 
 } // namespace

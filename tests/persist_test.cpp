@@ -647,13 +647,11 @@ TEST(PersistParallelTest, WorkersShareOneStore) {
   core::VerifierConfig Base;
   Base.TimeoutSeconds = 30;
   Base.CacheDir = Tmp.Path;
-  runtime::ParallelConfig PC;
-  PC.Jobs = 4;
 
   // Cold race: workers share the directory; decisive finishers store,
   // last-writer-wins. The record left behind must be loadable.
   runtime::ParallelPortfolioResult Cold =
-      runtime::runPortfolioParallel(Source, Base, PC);
+      runtime::runPortfolioParallel(Source, Base, /*Jobs=*/4);
   ASSERT_EQ(Cold.Best.V, core::Verdict::Correct);
   EXPECT_GT(Cold.Merged.get("cache_misses") + Cold.Merged.get("cache_hits"),
             0);
@@ -667,32 +665,40 @@ TEST(PersistParallelTest, WorkersShareOneStore) {
 
   // Warm race: same verdict, and at least one worker warm-started.
   runtime::ParallelPortfolioResult Warm =
-      runtime::runPortfolioParallel(Source, Base, PC);
+      runtime::runPortfolioParallel(Source, Base, /*Jobs=*/4);
   EXPECT_EQ(Warm.Best.V, Cold.Best.V);
   EXPECT_GT(Warm.Merged.get("cache_hits"), 0);
   EXPECT_GT(Warm.Merged.get("cache_seeded"), 0);
 }
 
-TEST(PersistParallelTest, UseProofCacheOffForcesCold) {
+TEST(PersistParallelTest, EmptyCacheDirKeepsWorkersCold) {
+  // Workers use exactly the base config's CacheDir: once it is cleared,
+  // a store holding this very program's proof is neither read nor written.
   TempCacheDir Tmp;
   std::string Source = workloads::loopSumSource(4);
   core::VerifierConfig Base;
   Base.TimeoutSeconds = 30;
   Base.CacheDir = Tmp.Path;
-  runtime::ParallelConfig PC;
-  PC.Jobs = 2;
-  PC.UseProofCache = false;
+  ASSERT_EQ(runtime::runPortfolioParallel(Source, Base, /*Jobs=*/2).Best.V,
+            core::Verdict::Correct);
+  auto RecordTimes = [&Tmp] {
+    std::vector<std::filesystem::file_time_type> Times;
+    for (auto &Entry : std::filesystem::directory_iterator(Tmp.Path))
+      if (Entry.path().extension() == ".proof")
+        Times.push_back(Entry.last_write_time());
+    return Times;
+  };
+  auto Before = RecordTimes();
+  ASSERT_FALSE(Before.empty());
 
+  Base.CacheDir.clear();
   runtime::ParallelPortfolioResult R =
-      runtime::runPortfolioParallel(Source, Base, PC);
+      runtime::runPortfolioParallel(Source, Base, /*Jobs=*/2);
   ASSERT_EQ(R.Best.V, core::Verdict::Correct);
   EXPECT_EQ(R.Merged.get("cache_hits"), 0);
   EXPECT_EQ(R.Merged.get("cache_misses"), 0);
-  // And nothing was stored: the workers never saw the directory.
-  bool AnyRecord = false;
-  for (auto &Entry : std::filesystem::directory_iterator(Tmp.Path))
-    AnyRecord |= Entry.path().extension() == ".proof";
-  EXPECT_FALSE(AnyRecord);
+  EXPECT_EQ(R.Merged.get("cache_stores"), 0);
+  EXPECT_EQ(RecordTimes(), Before);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "runtime/StatisticsHub.h"
 
 #include "core/Portfolio.h"
+#include "core/Prepare.h"
 #include "program/CfgBuilder.h"
 #include "workloads/Workloads.h"
 
@@ -233,10 +234,8 @@ TEST(ParallelPortfolioTest, SlowOrdersAreCancelledOnceAWinnerFinishes) {
   // far slower (EXPERIMENTS.md Fig. 1) — the race must not wait for it.
   core::VerifierConfig Base;
   Base.TimeoutSeconds = 120;
-  ParallelConfig PC;
-  PC.Jobs = 2;
   ParallelPortfolioResult R =
-      runPortfolioParallel(workloads::bluetoothSource(4), Base, PC);
+      runPortfolioParallel(workloads::bluetoothSource(4), Base, /*Jobs=*/2);
 
   EXPECT_TRUE(R.decisive());
   EXPECT_EQ(R.Best.V, core::Verdict::Correct);
@@ -254,7 +253,7 @@ TEST(ParallelPortfolioTest, VerdictIsDeterministicAcrossJobCounts) {
   std::vector<workloads::WorkloadInstance> Suite =
       workloads::svcompLikeSuite();
   // A representative slice (correct + incorrect families) keeps the
-  // three-way sweep fast; check_parallel.sh covers the full suites.
+  // three-way sweep fast; --check=parallel covers the full suites.
   Suite.resize(8);
   auto Weaver = workloads::weaverLikeSuite();
   Suite.push_back(Weaver[0]);
@@ -270,10 +269,7 @@ TEST(ParallelPortfolioTest, VerdictIsDeterministicAcrossJobCounts) {
     core::PortfolioResult Seq = core::runPortfolio(*B.Program, Base);
 
     for (unsigned Jobs : {1u, 2u, 8u}) {
-      ParallelConfig PC;
-      PC.Jobs = Jobs;
-      ParallelPortfolioResult Par =
-          runPortfolioParallel(W.Source, Base, PC);
+      ParallelPortfolioResult Par = runPortfolioParallel(W.Source, Base, Jobs);
       EXPECT_EQ(Par.Best.V, Seq.Best.V)
           << W.Name << " with --jobs=" << Jobs;
       EXPECT_EQ(Par.Jobs, std::min(Jobs, 5u));
@@ -285,11 +281,9 @@ TEST(ParallelPortfolioTest, RandSeedBaseShiftsOrderNames) {
   core::VerifierConfig Base;
   Base.RandSeedBase = 10;
   Base.RandOrders = 2;
-  ParallelConfig PC;
-  PC.Jobs = 2;
   ParallelPortfolioResult R = runPortfolioParallel(
       "var int x := 0; thread a { x := x + 1; } thread b { x := x + 1; }",
-      Base, PC);
+      Base, /*Jobs=*/2);
   ASSERT_EQ(R.Entries.size(), 4u);
   EXPECT_EQ(R.Entries[0].OrderName, "seq");
   EXPECT_EQ(R.Entries[1].OrderName, "lockstep");
@@ -298,12 +292,33 @@ TEST(ParallelPortfolioTest, RandSeedBaseShiftsOrderNames) {
   EXPECT_TRUE(R.decisive());
 }
 
+TEST(ParallelPortfolioTest, PrepareCountersAreRecordedOncePerRace) {
+  // Every worker prepares (prunes and fuses) its own copy of the program;
+  // the merged statistics must report the program's counts, not their
+  // sum over the five orders.
+  core::VerifierConfig Base;
+  Base.TimeoutSeconds = 60;
+  Base.PruneDeadEdges = true;
+  Base.FuseTransactions = true;
+  std::string Source = workloads::bluetoothSource(2);
+  smt::TermManager TM;
+  prog::BuildResult B = prog::buildFromSource(Source, TM);
+  ASSERT_TRUE(B.ok()) << B.Error;
+  core::PrepareStats PS = core::prepareProgram(*B.Program, Base);
+  ASSERT_GE(PS.Fusion.Transactions, 1u);
+
+  ParallelPortfolioResult R = runPortfolioParallel(Source, Base, /*Jobs=*/2);
+  EXPECT_EQ(R.Best.V, core::Verdict::Correct);
+  EXPECT_EQ(R.Merged.get("fusion_transactions"), PS.Fusion.Transactions);
+  EXPECT_EQ(R.Merged.get("fusion_fused_edges"), PS.Fusion.FusedEdges);
+  EXPECT_EQ(R.Merged.get("fusion_states_after"), PS.Fusion.StatesAfter);
+  EXPECT_EQ(R.Merged.get("edges_pruned"), PS.Prune.Removed);
+}
+
 TEST(ParallelPortfolioTest, BuildErrorYieldsUnknownNotCrash) {
   core::VerifierConfig Base;
-  ParallelConfig PC;
-  PC.Jobs = 2;
-  ParallelPortfolioResult R =
-      runPortfolioParallel("thread a { this does not parse }", Base, PC);
+  ParallelPortfolioResult R = runPortfolioParallel(
+      "thread a { this does not parse }", Base, /*Jobs=*/2);
   EXPECT_FALSE(R.decisive());
   EXPECT_EQ(R.Best.V, core::Verdict::Unknown);
 }

@@ -6,8 +6,7 @@
 ///
 /// Usage:
 ///   seqver [options] <file.conc>
-///   seqver --check-tiers[=quick]
-///   seqver --check-parallel[=quick]
+///   seqver --check=<group|all>[,quick]
 ///
 /// Options:
 ///   --order=<seq|lockstep|rand(1)|rand(2)|rand(3)|baseline>
@@ -16,17 +15,18 @@
 ///                         sequential emulation (as-if-parallel aggregate,
 ///                         default) or the real racing executor
 ///   --jobs=<n>            worker threads for --portfolio=parallel
-///                         (default: hardware concurrency)
+///                         (default 0: hardware concurrency)
 ///   --rand-seed=<n>       seed base for the rand(k) portfolio orders
 ///                         (orders become rand(n+1)..rand(n+3))
 ///   --analyze             print the static race/independence report and
 ///                         exit (1 when potential races are found)
 ///   --analyze=karr        print the Karr affine-equality invariants per
 ///                         thread location and exit
-///   --analyze=movers      print the Lipton mover classification (one line
-///                         per statement, naming the justifying invariant
-///                         source for conditional movers) and the
-///                         transactions fusion would build, then exit
+///   --analyze=movers      print the Lipton mover classification of the
+///                         pruned program (one line per statement, naming
+///                         the justifying invariant source for conditional
+///                         movers) and the transactions fusion would
+///                         build, then exit
 ///   --no-sleep            disable sleep set reduction
 ///   --no-persistent       disable persistent set reduction
 ///   --no-proof-sensitive  disable conditional commutativity (Def. 7.3)
@@ -45,19 +45,6 @@
 ///                         left-mover* chains become single atomic edges)
 ///                         before verification; --no-fuse restores the
 ///                         default unfused program
-///   --check-fusion[=quick]
-///                         verify the workload suites fused and unfused,
-///                         sequentially and with the parallel portfolio;
-///                         fail on any verdict mismatch, report the DFS
-///                         state reduction
-///   --check-tiers[=quick] verify the workload suites across four static
-///                         configurations (full tier stack, no Karr tier,
-///                         full + proof seeding, interval-only); fail if
-///                         any verdict changes
-///   --check-parallel[=quick]
-///                         verify the workload suites with the sequential
-///                         and the parallel portfolio; fail on any verdict
-///                         mismatch, report wall-clock speedup
 ///   --cache-dir=<dir>     persistent proof cache directory: warm-start the
 ///                         proof automaton from stored predicates (Hoare-
 ///                         gated, so a stale cache costs time, never
@@ -72,32 +59,25 @@
 ///                         in-memory table for all portfolio workers.
 ///                         persist: additionally load/flush settled
 ///                         answers beside the proof cache under
-///                         --cache-dir. conservative: like persist but
-///                         reuse persisted negative ("dependent") answers
-///                         only. The sequential portfolio always stays
-///                         private so its as-if-parallel aggregate stays
-///                         comparable.
-///   --check-commut[=quick]
-///                         verify the workload suites with the parallel
-///                         portfolio under three oracle arms (off, shared,
-///                         persisted-warm); fail on any verdict mismatch
-///                         or if sharing does not strictly reduce the
-///                         aggregate semantic solver calls
-///   --check-cache[=quick] verify the workload suites cold then warm
-///                         against one cache directory; fail if any verdict
-///                         changes or if a poisoned cache entry (safe proof
-///                         stored under the buggy program's fingerprint)
-///                         survives the Hoare gate
+///                         --cache-dir (required). conservative: like
+///                         persist but reuse persisted negative
+///                         ("dependent") answers only. The sequential
+///                         portfolio always stays private so its
+///                         as-if-parallel aggregate stays comparable.
 ///   --no-incremental      discard the SMT solver after every query instead
 ///                         of reusing incremental sessions (docs/PERF.md §7;
 ///                         --incremental restores the default)
-///   --check-incremental[=quick]
-///                         verify the workload suites with incremental SMT
-///                         sessions and with the fresh-instance path —
-///                         sequentially and with the 2-job parallel
-///                         portfolio — fail on any verdict mismatch, report
-///                         the solver wall-second savings
-///   --timeout=<seconds>   per-analysis timeout (default 60)
+///   --check=<group|all>[,quick]
+///                         run the differential check matrix
+///                         (tools/CheckMatrix.h): every arm of the group
+///                         on every workload of its suites (quick: every
+///                         third workload); fail if the arms' verdicts
+///                         differ, a decisive one misses the ground
+///                         truth, or a group assertion fails. Groups:
+///                         tiers, parallel, cache, fusion, commut,
+///                         incremental. Honors --timeout (default 10
+///                         here), --jobs and --rand-seed.
+///   --timeout=<seconds>   per-analysis timeout (default 60; 0 disables)
 ///   --witness             print the error trace for incorrect programs
 ///   --proof               print the final proof assertions
 ///   --minimize            greedily minimize the proof before reporting
@@ -106,28 +86,29 @@
 ///   --simulate=<n>        before verifying, try n random executions
 ///   --stats               print detailed statistics
 ///
+/// Malformed numbers and option combinations that would be silently
+/// ignored are usage errors (exit 2).
+///
 //===----------------------------------------------------------------------===//
 
+#include "CheckMatrix.h"
 #include "analysis/Analysis.h"
 #include "analysis/Fusion.h"
 #include "core/Portfolio.h"
+#include "core/Prepare.h"
 #include "persist/Fingerprint.h"
-#include "persist/ProofCache.h"
-#include "reduction/CommutOracle.h"
 #include "program/CfgBuilder.h"
 #include "program/Interpreter.h"
+#include "reduction/CommutOracle.h"
 #include "runtime/ParallelPortfolio.h"
-#include "support/Timer.h"
-#include "workloads/Workloads.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
-
-#include <unistd.h>
+#include <string_view>
 
 using namespace seqver;
 
@@ -139,8 +120,6 @@ struct CliOptions {
   bool ParallelPortfolio = false;
   unsigned Jobs = 0; // 0 = hardware concurrency
   uint64_t RandSeedBase = 0;
-  bool CheckParallel = false;
-  bool CheckParallelQuick = false;
   bool Analyze = false;
   bool NoSleep = false;
   bool NoPersistent = false;
@@ -152,10 +131,8 @@ struct CliOptions {
   bool SeedProof = false;
   bool NoPrune = false;
   bool Fuse = false;
-  bool CheckFusion = false;
-  bool CheckFusionQuick = false;
-  bool CheckTiers = false;
-  bool CheckTiersQuick = false;
+  std::vector<const check::Group *> Check; // --check groups to run
+  bool CheckQuick = false;
   bool PrintWitness = false;
   bool PrintProof = false;
   bool Minimize = false;
@@ -166,25 +143,15 @@ struct CliOptions {
   bool TimeoutSet = false;
   std::string CacheDir;
   bool CacheStats = false;
-  bool CheckCache = false;
-  bool CheckCacheQuick = false;
   std::string CommutCache = "shared";
-  bool CheckCommut = false;
-  bool CheckCommutQuick = false;
   bool Incremental = true;
-  bool CheckIncremental = false;
-  bool CheckIncrementalQuick = false;
 };
 
 void printUsage() {
   std::printf(
       "usage: seqver [options] <file.conc>\n"
-      "       seqver --check-tiers[=quick]\n"
-      "       seqver --check-parallel[=quick]\n"
-      "       seqver --check-cache[=quick]\n"
-      "       seqver --check-fusion[=quick]\n"
-      "       seqver --check-commut[=quick]\n"
-      "       seqver --check-incremental[=quick]\n"
+      "       seqver --check=<tiers|parallel|cache|fusion|commut|"
+      "incremental|all>[,quick]\n"
       "  --order=<seq|lockstep|rand(1)|rand(2)|rand(3)|baseline>\n"
       "  --portfolio=<sequential|parallel> --jobs=<n> --rand-seed=<n>\n"
       "  --analyze[=karr|movers] --no-sleep --no-persistent\n"
@@ -197,6 +164,47 @@ void printUsage() {
       "  --minimize\n"
       "  --source=<wp|interp|both>\n"
       "  --timeout=<seconds> --witness --proof --stats\n");
+}
+
+/// Parses what follows the first Prefix characters of Arg as a number in
+/// [Min, Max]: all of it, no sign or junk the type does not allow, no
+/// overflow. Complains on stderr otherwise.
+template <typename T>
+bool parseNumber(const std::string &Arg, size_t Prefix, T Min, T Max,
+                 T &Out) {
+  const char *First = Arg.data() + Prefix, *Last = Arg.data() + Arg.size();
+  T Value{};
+  auto [End, Err] = std::from_chars(First, Last, Value);
+  if (First == Last || Err != std::errc() || End != Last ||
+      !(Value >= Min && Value <= Max)) {
+    std::fprintf(stderr, "malformed number in '%s'\n", Arg.c_str());
+    return false;
+  }
+  Out = Value;
+  return true;
+}
+
+/// Parses the value of --check=<group|all>[,quick].
+bool parseCheck(std::string_view Spec, CliOptions &Opts) {
+  std::string_view Name = Spec.substr(0, Spec.find(','));
+  std::string_view Rest =
+      Name.size() < Spec.size() ? Spec.substr(Name.size() + 1) : "";
+  if (!Rest.empty() && Rest != "quick") {
+    std::fprintf(stderr, "unknown --check modifier '%.*s'\n",
+                 static_cast<int>(Rest.size()), Rest.data());
+    return false;
+  }
+  Opts.CheckQuick = Rest == "quick";
+  Opts.Check.clear();
+  for (const check::Group &G : check::groups())
+    if (Name == "all" || Name == G.Name)
+      Opts.Check.push_back(&G);
+  if (Opts.Check.empty()) {
+    std::fprintf(stderr, "unknown check group '%.*s'\n",
+                 static_cast<int>(Name.size()), Name.data());
+    return false;
+  }
+  return true;
 }
 
 bool parseArgs(int argc, char **argv, CliOptions &Opts) {
@@ -215,15 +223,17 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
         return false;
       }
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      Opts.Jobs = static_cast<unsigned>(std::atoi(Arg.c_str() + 7));
+      // The executor never starts more workers than there are orders.
+      if (!parseNumber(Arg, 7, 0u, 4096u, Opts.Jobs))
+        return false;
     } else if (Arg.rfind("--rand-seed=", 0) == 0) {
-      Opts.RandSeedBase =
-          static_cast<uint64_t>(std::atoll(Arg.c_str() + 12));
-    } else if (Arg == "--check-parallel") {
-      Opts.CheckParallel = true;
-    } else if (Arg == "--check-parallel=quick") {
-      Opts.CheckParallel = true;
-      Opts.CheckParallelQuick = true;
+      if (!parseNumber(Arg, 12, uint64_t{0},
+                       std::numeric_limits<uint64_t>::max(),
+                       Opts.RandSeedBase))
+        return false;
+    } else if (Arg.rfind("--check=", 0) == 0) {
+      if (!parseCheck(std::string_view(Arg).substr(8), Opts))
+        return false;
     } else if (Arg == "--analyze") {
       Opts.Analyze = true;
     } else if (Arg == "--analyze=karr") {
@@ -258,27 +268,12 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       Opts.Fuse = true;
     } else if (Arg == "--no-fuse") {
       Opts.Fuse = false;
-    } else if (Arg == "--check-fusion") {
-      Opts.CheckFusion = true;
-    } else if (Arg == "--check-fusion=quick") {
-      Opts.CheckFusion = true;
-      Opts.CheckFusionQuick = true;
-    } else if (Arg == "--check-tiers") {
-      Opts.CheckTiers = true;
-    } else if (Arg == "--check-tiers=quick") {
-      Opts.CheckTiers = true;
-      Opts.CheckTiersQuick = true;
     } else if (Arg.rfind("--cache-dir=", 0) == 0) {
       Opts.CacheDir = Arg.substr(12);
     } else if (Arg == "--no-cache") {
       Opts.CacheDir.clear();
     } else if (Arg == "--cache-stats") {
       Opts.CacheStats = true;
-    } else if (Arg == "--check-cache") {
-      Opts.CheckCache = true;
-    } else if (Arg == "--check-cache=quick") {
-      Opts.CheckCache = true;
-      Opts.CheckCacheQuick = true;
     } else if (Arg.rfind("--commut-cache=", 0) == 0) {
       Opts.CommutCache = Arg.substr(15);
       if (Opts.CommutCache != "off" && Opts.CommutCache != "shared" &&
@@ -288,20 +283,10 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
                      Opts.CommutCache.c_str());
         return false;
       }
-    } else if (Arg == "--check-commut") {
-      Opts.CheckCommut = true;
-    } else if (Arg == "--check-commut=quick") {
-      Opts.CheckCommut = true;
-      Opts.CheckCommutQuick = true;
     } else if (Arg == "--no-incremental") {
       Opts.Incremental = false;
     } else if (Arg == "--incremental") {
       Opts.Incremental = true;
-    } else if (Arg == "--check-incremental") {
-      Opts.CheckIncremental = true;
-    } else if (Arg == "--check-incremental=quick") {
-      Opts.CheckIncremental = true;
-      Opts.CheckIncrementalQuick = true;
     } else if (Arg == "--witness") {
       Opts.PrintWitness = true;
     } else if (Arg == "--proof") {
@@ -319,9 +304,13 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
     } else if (Arg == "--stats") {
       Opts.PrintStats = true;
     } else if (Arg.rfind("--simulate=", 0) == 0) {
-      Opts.Simulate = static_cast<uint64_t>(std::atoll(Arg.c_str() + 11));
+      if (!parseNumber(Arg, 11, uint64_t{0},
+                       std::numeric_limits<uint64_t>::max(), Opts.Simulate))
+        return false;
     } else if (Arg.rfind("--timeout=", 0) == 0) {
-      Opts.Timeout = std::atof(Arg.c_str() + 10);
+      // 0 disables the deadline explicitly; a year bounds the rest.
+      if (!parseNumber(Arg, 10, 0.0, 365.0 * 24 * 3600, Opts.Timeout))
+        return false;
       Opts.TimeoutSet = true;
     } else if (Arg == "--help" || Arg == "-h") {
       return false;
@@ -335,9 +324,26 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       return false;
     }
   }
-  return Opts.CheckTiers || Opts.CheckParallel || Opts.CheckCache ||
-         Opts.CheckFusion || Opts.CheckCommut || Opts.CheckIncremental ||
-         !Opts.File.empty();
+  if (!Opts.Order.empty() && Opts.Order != "baseline" &&
+      Opts.Order != "seq" && Opts.Order != "lockstep") {
+    // The rand(k) orders are named by their seeds, which --rand-seed
+    // shifts: rand(n+1) .. rand(n+RandOrders).
+    bool Known = false;
+    for (int K = 1; K <= core::VerifierConfig().RandOrders; ++K)
+      Known |= Opts.Order ==
+               "rand(" + std::to_string(Opts.RandSeedBase + K) + ")";
+    if (!Known) {
+      std::fprintf(stderr, "unknown order '%s'\n", Opts.Order.c_str());
+      return false;
+    }
+  }
+  if ((Opts.CommutCache == "persist" || Opts.CommutCache == "conservative") &&
+      Opts.CacheDir.empty()) {
+    std::fprintf(stderr, "--commut-cache=%s needs --cache-dir\n",
+                 Opts.CommutCache.c_str());
+    return false;
+  }
+  return !Opts.Check.empty() || !Opts.File.empty();
 }
 
 /// Prints the proof-cache counters of Stats on one line.
@@ -375,709 +381,24 @@ void report(const core::VerificationResult &R,
     std::printf("stats: %s\n", R.Stats.str().c_str());
 }
 
-/// Runs every workload under four static configurations and reports verdict
-/// agreement and per-tier savings. The arms:
-///   full:     interval + octagon + karr commutativity tiers (the default)
-///   no-karr:  interval + octagon tiers only — isolates the Karr sub-tier
-///   seeded:   full stack plus octagon+Karr proof seeding (--seed-proof)
-///   int-only: interval tier only, unseeded — the rounds baseline for seeded
-/// All four are sound, so any verdict disagreement is a bug. Returns the
-/// process exit code.
-int runCheckTiers(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckTiersQuick) {
-    // Every third workload still covers each family.
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
+/// Runs the --check groups; returns the process exit code.
+int runChecks(const CliOptions &Opts) {
+  check::MatrixOptions MO;
+  MO.TimeoutSeconds = Opts.TimeoutSet ? Opts.Timeout : 10;
+  MO.Jobs = Opts.Jobs;
+  MO.RandSeedBase = Opts.RandSeedBase;
+  MO.Quick = Opts.CheckQuick;
+  MO.Out = stdout;
+  size_t Failures = 0;
+  for (const check::Group *G : Opts.Check) {
+    check::GroupResult R = check::runGroup(*G, MO);
+    std::fflush(stdout);
+    for (const std::string &F : R.Failures)
+      std::fprintf(stderr, "error: %s: %s\n", G->Name.c_str(), F.c_str());
+    Failures += R.Failures.size();
+    std::printf("\n");
   }
-
-  double Timeout = Opts.TimeoutSet ? Opts.Timeout : 10;
-  int Mismatches = 0;
-  int64_t OctagonSettled = 0, KarrSettled = 0, KarrSeeds = 0;
-  int64_t SemFull = 0, SemNoKarr = 0;
-  int64_t RoundsSeeded = 0, RoundsBaseline = 0;
-
-  std::printf("%-22s %-9s %-9s %-9s %-9s %5s %7s %7s %4s %4s\n", "workload",
-              "full", "no-karr", "seeded", "int-only", "karr", "sem-f",
-              "sem-nk", "rd-s", "rd-b");
-  for (const auto &W : Suite) {
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-
-    // Arm 1: the full static stack (interval + octagon + karr tiers).
-    core::VerificationResult Full =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    // Arm 2: Karr tier off — anything it settled falls through to the
-    // octagon tier or the SMT solver.
-    Config.KarrTier = false;
-    core::VerificationResult NoKarr =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    // Arm 3: full stack plus proof seeding (octagon + Karr atoms).
-    Config.KarrTier = true;
-    Config.SeedProof = true;
-    core::VerificationResult Seeded =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    // Arm 4: interval tier only, unseeded — the rounds baseline for arm 3.
-    Config.SeedProof = false;
-    Config.OctagonTier = false;
-    Config.KarrTier = false;
-    core::VerificationResult IntOnly =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-
-    bool Agree = Full.V == NoKarr.V && Full.V == Seeded.V &&
-                 Full.V == IntOnly.V;
-    if (!Agree)
-      ++Mismatches;
-    OctagonSettled += Full.Stats.get("commut_octagon");
-    KarrSettled += Full.Stats.get("commut_karr");
-    KarrSeeds += Seeded.Stats.get("karr_seeded");
-    SemFull += Full.Stats.get("semantic_commut_checks");
-    SemNoKarr += NoKarr.Stats.get("semantic_commut_checks");
-    RoundsSeeded += Seeded.Rounds;
-    RoundsBaseline += IntOnly.Rounds;
-    std::printf("%-22s %-9s %-9s %-9s %-9s %5lld %7lld %7lld %4d %4d%s\n",
-                W.Name.c_str(), core::verdictName(Full.V).c_str(),
-                core::verdictName(NoKarr.V).c_str(),
-                core::verdictName(Seeded.V).c_str(),
-                core::verdictName(IntOnly.V).c_str(),
-                static_cast<long long>(Full.Stats.get("commut_karr")),
-                static_cast<long long>(
-                    Full.Stats.get("semantic_commut_checks")),
-                static_cast<long long>(
-                    NoKarr.Stats.get("semantic_commut_checks")),
-                Seeded.Rounds, IntOnly.Rounds,
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\ninvariant-tier settled queries: %lld octagon, %lld karr\n",
-              static_cast<long long>(OctagonSettled),
-              static_cast<long long>(KarrSettled));
-  std::printf("semantic checks: %lld full stack, %lld without karr",
-              static_cast<long long>(SemFull),
-              static_cast<long long>(SemNoKarr));
-  if (SemNoKarr > 0)
-    std::printf(" (%.1f%% saved)",
-                100.0 * static_cast<double>(SemNoKarr - SemFull) /
-                    static_cast<double>(SemNoKarr));
-  std::printf("\nrefinement rounds: %lld seeded (%lld karr-seeded "
-              "predicates), %lld interval-only baseline\n",
-              static_cast<long long>(RoundsSeeded),
-              static_cast<long long>(KarrSeeds),
-              static_cast<long long>(RoundsBaseline));
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  std::printf("all verdicts agree\n");
-  return 0;
-}
-
-/// Runs every workload under the sequential and the parallel portfolio and
-/// compares verdicts (they must be identical — all orders are sound); also
-/// reports the real wall-clock win of the race over the sequential
-/// sum-of-orders. Returns the process exit code.
-int runCheckParallel(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  if (Opts.CheckParallelQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  core::VerifierConfig Base;
-  Base.TimeoutSeconds = Opts.TimeoutSet ? Opts.Timeout : 10;
-  Base.RandSeedBase = Opts.RandSeedBase;
-  runtime::ParallelConfig PC;
-  PC.Jobs = Opts.Jobs;
-
-  int Mismatches = 0;
-  double SeqSum = 0, ParWall = 0;
-  std::printf("%-22s %-10s %-10s %9s %9s\n", "workload", "sequential",
-              "parallel", "seq-sum", "par-wall");
-  for (const auto &W : Suite) {
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    Timer SeqTimer;
-    core::PortfolioResult Seq = core::runPortfolio(*Build.Program, Base);
-    double SeqSeconds = SeqTimer.seconds();
-    runtime::ParallelPortfolioResult Par =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-
-    bool Agree = Seq.Best.V == Par.Best.V;
-    if (!Agree)
-      ++Mismatches;
-    SeqSum += SeqSeconds;
-    ParWall += Par.WallSeconds;
-    std::printf("%-22s %-10s %-10s %8.2fs %8.2fs%s\n", W.Name.c_str(),
-                core::verdictName(Seq.Best.V).c_str(),
-                core::verdictName(Par.Best.V).c_str(), SeqSeconds,
-                Par.WallSeconds, Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\nsequential sum-of-orders: %.2fs, parallel wall-clock: "
-              "%.2fs",
-              SeqSum, ParWall);
-  if (ParWall > 0)
-    std::printf(" (%.2fx speedup)", SeqSum / ParWall);
-  std::printf("\n");
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  std::printf("all verdicts agree\n");
-  return 0;
-}
-
-/// Cold/warm differential gate for the persistent proof cache
-/// (docs/PERSIST.md): every workload is verified twice against one shared
-/// cache directory — the first run populates it, the second warm-starts
-/// from it — and the verdicts must agree. Then a poisoned-cache case: the
-/// safe loop_sum proof is stored under the *buggy* variant's fingerprint
-/// with verdict "correct"; the warm run must still come out incorrect,
-/// because cached predicates only enter the proof automaton through
-/// SMT-checked Hoare triples. Returns the process exit code.
-int runCheckCache(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckCacheQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  // The gate must start cold: wipe the directory (a user-provided
-  // --cache-dir included — this is a self-test, not a service cache).
-  bool OwnDir = Opts.CacheDir.empty();
-  std::string CacheDir =
-      OwnDir ? (std::filesystem::temp_directory_path() /
-                ("seqver-check-cache-" + std::to_string(getpid())))
-                   .string()
-             : Opts.CacheDir;
-  std::error_code EC;
-  std::filesystem::remove_all(CacheDir, EC);
-
-  double Timeout = Opts.TimeoutSet ? Opts.Timeout : 10;
-  int Mismatches = 0, StrictlyFewer = 0;
-  int64_t Hits = 0, Misses = 0, SeededPreds = 0, RoundsSaved = 0;
-
-  std::printf("%-22s %-10s %-10s %5s %5s %6s\n", "workload", "cold", "warm",
-              "rd-c", "rd-w", "seeded");
-  for (const auto &W : Suite) {
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-    Config.CacheDir = CacheDir;
-    core::VerificationResult Cold =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    core::VerificationResult Warm =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-
-    bool Agree = Cold.V == Warm.V;
-    if (!Agree)
-      ++Mismatches;
-    if (Warm.V == core::Verdict::Correct && Warm.Rounds < Cold.Rounds)
-      ++StrictlyFewer;
-    Misses += Cold.Stats.get("cache_misses");
-    Hits += Warm.Stats.get("cache_hits");
-    SeededPreds += Warm.Stats.get("cache_seeded");
-    RoundsSaved += Warm.Stats.get("rounds_saved_warm");
-    std::printf("%-22s %-10s %-10s %5d %5d %6lld%s\n", W.Name.c_str(),
-                core::verdictName(Cold.V).c_str(),
-                core::verdictName(Warm.V).c_str(), Cold.Rounds, Warm.Rounds,
-                static_cast<long long>(Warm.Stats.get("cache_seeded")),
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  // Poisoned-cache arm: a "correct" record faked onto the buggy program.
-  bool PoisonOk = false;
-  {
-    smt::TermManager SafeTM, BugTM;
-    prog::BuildResult Safe =
-        prog::buildFromSource(workloads::loopSumSource(4), SafeTM);
-    prog::BuildResult Bug =
-        prog::buildFromSource(workloads::loopSumSource(4, true), BugTM);
-    if (!Safe.ok() || !Bug.ok()) {
-      std::fprintf(stderr, "poisoned-cache arm: build failed\n");
-      return 2;
-    }
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-    Config.CacheDir = CacheDir;
-    core::runSingleOrder(*Safe.Program, Config, "seq"); // stores the proof
-    persist::ProofCache Cache(CacheDir);
-    persist::StoredProof SafeProof;
-    if (!Cache.load(persist::fingerprintProgram(*Safe.Program), SafeProof)) {
-      std::fprintf(stderr, "poisoned-cache arm: no stored safe proof\n");
-      return 2;
-    }
-    Cache.store(persist::fingerprintProgram(*Bug.Program), SafeProof);
-    core::VerificationResult Poisoned =
-        core::runSingleOrder(*Bug.Program, Config, "seq");
-    PoisonOk = Poisoned.V == core::Verdict::Incorrect &&
-               Poisoned.Stats.get("cache_hits") >= 1;
-    std::printf("%-22s %-10s %-10s %5s %5d %6lld%s\n", "loop_sum/poisoned",
-                "correct*", core::verdictName(Poisoned.V).c_str(), "-",
-                Poisoned.Rounds,
-                static_cast<long long>(Poisoned.Stats.get("cache_seeded")),
-                PoisonOk ? "" : "  << POISON NOT REJECTED");
-  }
-
-  std::printf("\ncache: %lld miss(es) cold, %lld hit(s) warm, %lld seeded "
-              "predicate(s), %lld refinement round(s) saved (%d workload(s) "
-              "strictly fewer rounds warm)\n",
-              static_cast<long long>(Misses), static_cast<long long>(Hits),
-              static_cast<long long>(SeededPreds),
-              static_cast<long long>(RoundsSaved), StrictlyFewer);
-  if (OwnDir)
-    std::filesystem::remove_all(CacheDir, EC);
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  if (!PoisonOk) {
-    std::fprintf(stderr,
-                 "error: poisoned cache entry was not rejected soundly\n");
-    return 1;
-  }
-  if (Hits == 0) {
-    std::fprintf(stderr, "error: warm runs never hit the cache\n");
-    return 1;
-  }
-  std::printf("all verdicts agree; poisoned entry rejected\n");
-  return 0;
-}
-
-/// Fused-vs-unfused differential gate: every workload is verified with and
-/// without transaction fusion — sequentially (single seq order, pruned
-/// program) and with the parallel portfolio racing on the fused program —
-/// and all three verdicts must agree. Fusion is sound by construction
-/// (analysis/Fusion.h), so any disagreement is a bug. Also reports the DFS
-/// state reduction fusion buys. Returns the process exit code.
-int runCheckFusion(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckFusionQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  double Timeout = Opts.TimeoutSet ? Opts.Timeout : 10;
-  int Mismatches = 0;
-  int64_t VisitedUnfused = 0, VisitedFused = 0;
-  int64_t FusedEdges = 0, Transactions = 0;
-
-  std::printf("%-22s %-10s %-10s %-10s %8s %8s %5s\n", "workload",
-              "unfused", "fused", "par-fused", "vis-u", "vis-f", "txn");
-  for (const auto &W : Suite) {
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-    Config.RandSeedBase = Opts.RandSeedBase;
-
-    // Arm 1: pruned, unfused, sequential seq order.
-    smt::TermManager PlainTM;
-    prog::BuildResult Plain = prog::buildFromSource(W.Source, PlainTM);
-    if (!Plain.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Plain.Error.c_str());
-      return 2;
-    }
-    analysis::pruneDeadEdges(*Plain.Program);
-    core::VerificationResult Unfused =
-        core::runSingleOrder(*Plain.Program, Config, "seq");
-
-    // Arm 2: pruned, fused, sequential seq order.
-    smt::TermManager FusedTM;
-    prog::BuildResult FusedBuild = prog::buildFromSource(W.Source, FusedTM);
-    if (!FusedBuild.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(),
-                   FusedBuild.Error.c_str());
-      return 2;
-    }
-    analysis::pruneDeadEdges(*FusedBuild.Program);
-    analysis::FusionStats FS =
-        analysis::fuseTransactions(*FusedBuild.Program);
-    core::VerificationResult Fused =
-        core::runSingleOrder(*FusedBuild.Program, Config, "seq");
-
-    // Arm 3: the parallel portfolio racing on the fused program (workers
-    // rebuild from source and replicate prune + fuse).
-    runtime::ParallelConfig PC;
-    PC.Jobs = Opts.Jobs;
-    PC.PruneDeadEdges = true;
-    PC.OctagonPrune = true;
-    PC.KarrPrune = true;
-    PC.FuseTransactions = true;
-    runtime::ParallelPortfolioResult Par =
-        runtime::runPortfolioParallel(W.Source, Config, PC);
-
-    bool Agree = Unfused.V == Fused.V && Unfused.V == Par.Best.V;
-    if (!Agree)
-      ++Mismatches;
-    VisitedUnfused += Unfused.Stats.get("visited_total");
-    VisitedFused += Fused.Stats.get("visited_total");
-    FusedEdges += static_cast<int64_t>(FS.FusedEdges);
-    Transactions += static_cast<int64_t>(FS.Transactions);
-    std::printf("%-22s %-10s %-10s %-10s %8lld %8lld %5lld%s\n",
-                W.Name.c_str(), core::verdictName(Unfused.V).c_str(),
-                core::verdictName(Fused.V).c_str(),
-                core::verdictName(Par.Best.V).c_str(),
-                static_cast<long long>(Unfused.Stats.get("visited_total")),
-                static_cast<long long>(Fused.Stats.get("visited_total")),
-                static_cast<long long>(FS.Transactions),
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\nfusion: %lld edge(s) into %lld transaction(s); DFS states "
-              "%lld unfused vs %lld fused",
-              static_cast<long long>(FusedEdges),
-              static_cast<long long>(Transactions),
-              static_cast<long long>(VisitedUnfused),
-              static_cast<long long>(VisitedFused));
-  if (VisitedUnfused > 0 && VisitedFused < VisitedUnfused)
-    std::printf(" (%.1f%% fewer)",
-                100.0 * static_cast<double>(VisitedUnfused - VisitedFused) /
-                    static_cast<double>(VisitedUnfused));
-  std::printf("\n");
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  std::printf("all verdicts agree\n");
-  return 0;
-}
-
-/// Differential gate for the shared commutativity oracle: every workload
-/// is verified with the parallel portfolio under three arms — oracle off
-/// (private per-checker caches), one shared in-memory table, and
-/// persisted-warm (a cold run flushes the table to disk, a fresh table
-/// reloads it) — and all verdicts must agree. Sharing only short-circuits
-/// already-proven answers, so any disagreement is a bug. Also enforces the
-/// optimisation's reason to exist: the aggregate semantic solver calls of
-/// the shared arm must be strictly below the off arm's. Returns the
-/// process exit code.
-int runCheckCommut(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckCommutQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  // Scratch directory for the persisted arms (a user --cache-dir is also
-  // acceptable — this writes .commut records only).
-  bool OwnDir = Opts.CacheDir.empty();
-  std::string CacheDir =
-      OwnDir ? (std::filesystem::temp_directory_path() /
-                ("seqver-check-commut-" + std::to_string(getpid())))
-                   .string()
-             : Opts.CacheDir;
-  std::error_code EC;
-  if (OwnDir)
-    std::filesystem::remove_all(CacheDir, EC);
-
-  core::VerifierConfig Base;
-  Base.TimeoutSeconds = Opts.TimeoutSet ? Opts.Timeout : 10;
-  Base.RandSeedBase = Opts.RandSeedBase;
-  runtime::ParallelConfig PC;
-  PC.Jobs = Opts.Jobs;
-
-  int Mismatches = 0;
-  int64_t SemOff = 0, SemShared = 0, SemCold = 0, SemWarm = 0;
-  int64_t SharedHits = 0, WarmHits = 0, WarmLoaded = 0;
-
-  std::printf("%-22s %-9s %-9s %-9s %7s %7s %7s %6s\n", "workload", "off",
-              "shared", "warm", "sem-off", "sem-sh", "sem-w", "hits");
-  for (const auto &W : Suite) {
-    // The persisted arms fingerprint the same program the workers build:
-    // built from source, no pruning or fusion (default ParallelConfig).
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    persist::Fingerprint FP = persist::fingerprintProgram(*Build.Program);
-
-    // Arm 1: oracle off — every worker on its private cache.
-    PC.SharedCommut = nullptr;
-    runtime::ParallelPortfolioResult Off =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-
-    // Arm 2: one shared in-memory table for the race.
-    red::CommutOracle Shared;
-    PC.SharedCommut = &Shared;
-    runtime::ParallelPortfolioResult SharedRun =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-
-    // Arm 3a (cold): fresh table bound to disk, flushed after the race.
-    red::CommutOracle Cold;
-    Cold.bindDisk(CacheDir, FP);
-    PC.SharedCommut = &Cold;
-    runtime::ParallelPortfolioResult ColdRun =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-    Cold.flushDisk();
-
-    // Arm 3b (warm): a fresh table reloads the flushed answers.
-    red::CommutOracle Warm;
-    WarmLoaded += static_cast<int64_t>(Warm.bindDisk(CacheDir, FP));
-    PC.SharedCommut = &Warm;
-    runtime::ParallelPortfolioResult WarmRun =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-
-    bool Agree = Off.Best.V == SharedRun.Best.V &&
-                 Off.Best.V == ColdRun.Best.V &&
-                 Off.Best.V == WarmRun.Best.V;
-    if (!Agree)
-      ++Mismatches;
-    SemOff += Off.Merged.get("commut_semantic");
-    SemShared += SharedRun.Merged.get("commut_semantic");
-    SemCold += ColdRun.Merged.get("commut_semantic");
-    SemWarm += WarmRun.Merged.get("commut_semantic");
-    SharedHits += SharedRun.Merged.get("commut_shared_hits");
-    WarmHits += WarmRun.Merged.get("commut_shared_hits");
-    std::printf("%-22s %-9s %-9s %-9s %7lld %7lld %7lld %6lld%s\n",
-                W.Name.c_str(), core::verdictName(Off.Best.V).c_str(),
-                core::verdictName(SharedRun.Best.V).c_str(),
-                core::verdictName(WarmRun.Best.V).c_str(),
-                static_cast<long long>(Off.Merged.get("commut_semantic")),
-                static_cast<long long>(
-                    SharedRun.Merged.get("commut_semantic")),
-                static_cast<long long>(
-                    WarmRun.Merged.get("commut_semantic")),
-                static_cast<long long>(
-                    SharedRun.Merged.get("commut_shared_hits")),
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\nsemantic solver calls (aggregate across workers): %lld "
-              "off, %lld shared",
-              static_cast<long long>(SemOff),
-              static_cast<long long>(SemShared));
-  if (SemOff > 0)
-    std::printf(" (%.1f%% saved, %lld shared hit(s))",
-                100.0 * static_cast<double>(SemOff - SemShared) /
-                    static_cast<double>(SemOff),
-                static_cast<long long>(SharedHits));
-  std::printf("\npersisted: %lld cold, %lld warm",
-              static_cast<long long>(SemCold),
-              static_cast<long long>(SemWarm));
-  if (SemCold > 0)
-    std::printf(" (%.1f%% saved; %lld entr%s loaded, %lld hit(s))",
-                100.0 * static_cast<double>(SemCold - SemWarm) /
-                    static_cast<double>(SemCold),
-                static_cast<long long>(WarmLoaded),
-                WarmLoaded == 1 ? "y" : "ies",
-                static_cast<long long>(WarmHits));
-  std::printf("\n");
-  if (OwnDir)
-    std::filesystem::remove_all(CacheDir, EC);
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  if (SemShared >= SemOff) {
-    std::fprintf(stderr,
-                 "error: shared oracle did not reduce aggregate semantic "
-                 "solver calls (%lld shared vs %lld off)\n",
-                 static_cast<long long>(SemShared),
-                 static_cast<long long>(SemOff));
-    return 1;
-  }
-  if (SemWarm >= SemCold) {
-    std::fprintf(stderr,
-                 "error: persisted-warm run did not reduce semantic solver "
-                 "calls (%lld warm vs %lld cold)\n",
-                 static_cast<long long>(SemWarm),
-                 static_cast<long long>(SemCold));
-    return 1;
-  }
-  std::printf("all verdicts agree across oracle arms\n");
-  return 0;
-}
-
-/// Differential gate for the incremental DPLL(T) sessions: every workload
-/// is verified with incremental SMT sessions and with the fresh-instance
-/// path — sequentially, and (every third workload) with the 2-job parallel
-/// portfolio under both modes — and all verdicts must agree. Sessions only
-/// change how queries are posed to the solver, never their meaning, so any
-/// disagreement is a bug. Also reports the solver wall-second savings the
-/// sessions buy and the session counters. Returns the process exit code.
-int runCheckIncremental(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckIncrementalQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  double Timeout = Opts.TimeoutSet ? Opts.Timeout : 10;
-  int Mismatches = 0;
-  int64_t SolverUsInc = 0, SolverUsFresh = 0;
-  int64_t Sessions = 0, AssumptionSolves = 0, Retained = 0, WarmPivots = 0;
-  size_t ParallelArms = 0;
-
-  std::printf("%-22s %-10s %-10s %9s %9s %6s %6s\n", "workload",
-              "incremental", "fresh", "slv-inc", "slv-frsh", "sess",
-              "asolve");
-  for (size_t I = 0; I < Suite.size(); ++I) {
-    const auto &W = Suite[I];
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-    Config.RandSeedBase = Opts.RandSeedBase;
-
-    // Arm 1: incremental sessions (the default path).
-    Config.IncrementalSmt = true;
-    core::VerificationResult Inc =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    // Arm 2: one throwaway solver per query (the pre-session path).
-    Config.IncrementalSmt = false;
-    core::VerificationResult Fresh =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-
-    bool Agree = Inc.V == Fresh.V;
-
-    // Every third workload additionally races the 2-job parallel portfolio
-    // under both modes: sessions live inside each worker's verifier, and
-    // cancellation (a worker losing the race) must still never flip or
-    // publish a wrong verdict.
-    if (I % 3 == 0) {
-      runtime::ParallelConfig PC;
-      PC.Jobs = 2;
-      core::VerifierConfig ParConfig = Config;
-      ParConfig.IncrementalSmt = true;
-      runtime::ParallelPortfolioResult ParInc =
-          runtime::runPortfolioParallel(W.Source, ParConfig, PC);
-      ParConfig.IncrementalSmt = false;
-      runtime::ParallelPortfolioResult ParFresh =
-          runtime::runPortfolioParallel(W.Source, ParConfig, PC);
-      Agree = Agree && Inc.V == ParInc.Best.V && Inc.V == ParFresh.Best.V;
-      ++ParallelArms;
-    }
-
-    if (!Agree)
-      ++Mismatches;
-    SolverUsInc += Inc.Stats.get("smt_solver_us");
-    SolverUsFresh += Fresh.Stats.get("smt_solver_us");
-    Sessions += Inc.Stats.get("smt_sessions");
-    AssumptionSolves += Inc.Stats.get("smt_assumption_solves");
-    Retained += Inc.Stats.get("smt_clauses_retained");
-    WarmPivots += Inc.Stats.get("smt_tableau_warm_pivots");
-    std::printf("%-22s %-10s %-10s %8.3fs %8.3fs %6lld %6lld%s\n",
-                W.Name.c_str(), core::verdictName(Inc.V).c_str(),
-                core::verdictName(Fresh.V).c_str(),
-                static_cast<double>(Inc.Stats.get("smt_solver_us")) / 1e6,
-                static_cast<double>(Fresh.Stats.get("smt_solver_us")) / 1e6,
-                static_cast<long long>(Inc.Stats.get("smt_sessions")),
-                static_cast<long long>(
-                    Inc.Stats.get("smt_assumption_solves")),
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\nsolver wall-seconds: %.3fs incremental, %.3fs fresh",
-              static_cast<double>(SolverUsInc) / 1e6,
-              static_cast<double>(SolverUsFresh) / 1e6);
-  if (SolverUsFresh > 0)
-    std::printf(" (%.1f%% saved)",
-                100.0 * static_cast<double>(SolverUsFresh - SolverUsInc) /
-                    static_cast<double>(SolverUsFresh));
-  std::printf("\nsessions: %lld opened, %lld assumption solve(s), %lld "
-              "learned clause(s) retained, %lld warm pivot(s); %zu "
-              "parallel arm(s)\n",
-              static_cast<long long>(Sessions),
-              static_cast<long long>(AssumptionSolves),
-              static_cast<long long>(Retained),
-              static_cast<long long>(WarmPivots), ParallelArms);
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  if (Sessions == 0) {
-    std::fprintf(stderr,
-                 "error: incremental arm never opened a session\n");
-    return 1;
-  }
-  std::printf("all verdicts agree across incremental arms\n");
-  return 0;
+  return Failures == 0 ? 0 : 1;
 }
 
 } // namespace
@@ -1088,18 +409,8 @@ int main(int argc, char **argv) {
     printUsage();
     return 2;
   }
-  if (Opts.CheckTiers)
-    return runCheckTiers(Opts);
-  if (Opts.CheckParallel)
-    return runCheckParallel(Opts);
-  if (Opts.CheckCache)
-    return runCheckCache(Opts);
-  if (Opts.CheckFusion)
-    return runCheckFusion(Opts);
-  if (Opts.CheckCommut)
-    return runCheckCommut(Opts);
-  if (Opts.CheckIncremental)
-    return runCheckIncremental(Opts);
+  if (!Opts.Check.empty())
+    return runChecks(Opts);
 
   std::ifstream In(Opts.File);
   if (!In) {
@@ -1119,6 +430,26 @@ int main(int argc, char **argv) {
   prog::ConcurrentProgram &P = *Build.Program;
   std::printf("%s: %d threads, %u locations, %u statements\n",
               Opts.File.c_str(), P.numThreads(), P.size(), P.numLetters());
+
+  core::VerifierConfig Config;
+  Config.TimeoutSeconds = Opts.Timeout;
+  Config.RandSeedBase = Opts.RandSeedBase;
+  Config.CacheDir = Opts.CacheDir;
+  Config.UseSleepSets = !Opts.NoSleep;
+  Config.UsePersistentSets = !Opts.NoPersistent;
+  Config.ProofSensitive = !Opts.NoProofSensitive && !Opts.NoSleep;
+  Config.StaticTier = !Opts.NoStatic;
+  Config.OctagonTier = !Opts.NoOctagon;
+  Config.KarrTier = !Opts.NoKarr;
+  Config.SeedProof = Opts.SeedProof;
+  Config.PruneDeadEdges = !Opts.NoPrune;
+  Config.FuseTransactions = Opts.Fuse;
+  Config.IncrementalSmt = Opts.Incremental;
+  Config.MinimizeProof = Opts.Minimize;
+  Config.Source = Opts.Source == "interp"
+                      ? core::PredicateSource::Interpolation
+                  : Opts.Source == "both" ? core::PredicateSource::Both
+                                          : core::PredicateSource::WpChain;
 
   if (Opts.Analyze) {
     if (Opts.AnalyzeFocus == "karr") {
@@ -1141,16 +472,21 @@ int main(int argc, char **argv) {
       return 0;
     }
     if (Opts.AnalyzeFocus == "movers") {
-      // Classify against the program the verifier would actually run:
-      // pruning first makes the dead-edge vacuity rule bite.
-      if (!Opts.NoPrune)
-        analysis::pruneDeadEdges(P);
+      // Classify the program the verifier would actually run: pruned as
+      // the run would prune it, so the dead-edge vacuity rule bites. Then
+      // fuse it, whether or not --fuse was given, to report what fusion
+      // would build from this classification.
+      core::VerifierConfig PruneOnly = Config;
+      PruneOnly.FuseTransactions = false;
+      core::prepareProgram(P, PruneOnly);
       analysis::ProgramAnalysis PA(P);
-      std::vector<const analysis::InvariantSource *> Sources =
-          PA.invariantSources();
-      analysis::MoverAnalysis Movers(P, PA.locks(), PA.accesses(), Sources);
+      analysis::MoverAnalysis Movers(P, PA.locks(), PA.accesses(),
+                                     PA.invariantSources());
       std::printf("%s", Movers.report().c_str());
-      analysis::FusionStats FS = analysis::fuseTransactions(P, Movers);
+      core::VerifierConfig FuseOnly = Config;
+      FuseOnly.PruneDeadEdges = false;
+      FuseOnly.FuseTransactions = true;
+      analysis::FusionStats FS = core::prepareProgram(P, FuseOnly).Fusion;
       std::printf("fusion: %u edge(s) into %u transaction(s); alphabet "
                   "%u -> %u, reachable locations %u -> %u\n",
                   FS.FusedEdges, FS.Transactions, FS.AlphabetBefore,
@@ -1162,25 +498,18 @@ int main(int argc, char **argv) {
     return PA.races().raceFree() ? 0 : 1;
   }
 
-  if (!Opts.NoPrune) {
-    analysis::PrunePreset Preset =
-        Opts.NoOctagon ? analysis::PrunePreset::IntervalOnly
-        : Opts.NoKarr  ? analysis::PrunePreset::WithOctagons
-                       : analysis::PrunePreset::Full;
-    analysis::PruneStats PS;
-    uint32_t Pruned = analysis::pruneDeadEdges(P, Preset, &PS);
-    if (Pruned > 0) {
-      auto KarrIt = PS.BySource.find("karr");
-      uint32_t KarrOnly = KarrIt != PS.BySource.end() ? KarrIt->second : 0;
-      std::printf("pruned %u statically dead edge(s)", Pruned);
-      if (KarrOnly > 0)
-        std::printf(" (%u affine-only)", KarrOnly);
-      std::printf("\n");
-    }
+  core::PrepareStats Prep = core::prepareProgram(P, Config);
+  if (Prep.Prune.Removed > 0) {
+    auto KarrIt = Prep.Prune.BySource.find("karr");
+    uint32_t KarrOnly =
+        KarrIt != Prep.Prune.BySource.end() ? KarrIt->second : 0;
+    std::printf("pruned %u statically dead edge(s)", Prep.Prune.Removed);
+    if (KarrOnly > 0)
+      std::printf(" (%u affine-only)", KarrOnly);
+    std::printf("\n");
   }
-
-  if (Opts.Fuse) {
-    analysis::FusionStats FS = analysis::fuseTransactions(P);
+  if (Prep.Fused) {
+    const analysis::FusionStats &FS = Prep.Fusion;
     std::printf("fused %u edge(s) into %u transaction(s); alphabet "
                 "%u -> %u, reachable locations %u -> %u\n",
                 FS.FusedEdges, FS.Transactions, FS.AlphabetBefore,
@@ -1201,36 +530,18 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(Opts.Simulate));
   }
 
-  core::VerifierConfig Config;
-  Config.TimeoutSeconds = Opts.Timeout;
-  Config.RandSeedBase = Opts.RandSeedBase;
-  Config.CacheDir = Opts.CacheDir;
-  Config.UseSleepSets = !Opts.NoSleep;
-  Config.UsePersistentSets = !Opts.NoPersistent;
-  Config.ProofSensitive = !Opts.NoProofSensitive && !Opts.NoSleep;
-  Config.StaticTier = !Opts.NoStatic;
-  Config.OctagonTier = !Opts.NoOctagon;
-  Config.KarrTier = !Opts.NoKarr;
-  Config.SeedProof = Opts.SeedProof;
-  Config.FuseTransactions = Opts.Fuse;
-  Config.IncrementalSmt = Opts.Incremental;
-  Config.MinimizeProof = Opts.Minimize;
-  Config.Source = Opts.Source == "interp"
-                      ? core::PredicateSource::Interpolation
-                  : Opts.Source == "both" ? core::PredicateSource::Both
-                                          : core::PredicateSource::WpChain;
-
-  // Shared commutativity oracle (reduction/CommutOracle.h). Created here,
-  // after pruning and fusion, so the disk namespace fingerprint is taken
-  // from the very program the verifiers run (parallel workers rebuild the
-  // identical program: same source, same preprocessing flags). The table
-  // outlives both branches below; workers hold non-owning pointers.
+  // Shared commutativity oracle (reduction/CommutOracle.h). The disk
+  // namespace fingerprint is taken from the prepared program, the very
+  // program the verifiers run (parallel workers prepare the identical
+  // program from the same source and config). The table outlives both
+  // branches below; verifiers hold non-owning pointers. The sequential
+  // portfolio never gets it, so its as-if-parallel aggregate stays
+  // comparable.
   red::CommutOracle CommutTable;
   red::CommutOracle *Oracle =
       Opts.CommutCache == "off" ? nullptr : &CommutTable;
-  bool CommutDisk = (Opts.CommutCache == "persist" ||
-                     Opts.CommutCache == "conservative") &&
-                    !Opts.CacheDir.empty();
+  bool CommutDisk =
+      Opts.CommutCache == "persist" || Opts.CommutCache == "conservative";
   if (CommutDisk) {
     size_t Loaded =
         CommutTable.bindDisk(Opts.CacheDir, persist::fingerprintProgram(P),
@@ -1239,6 +550,11 @@ int main(int argc, char **argv) {
       std::printf("commut cache: loaded %zu persisted answer(s)\n", Loaded);
   }
 
+  auto ExitCode = [](core::Verdict V) {
+    return V == core::Verdict::Correct     ? 0
+           : V == core::Verdict::Incorrect ? 1
+                                           : 3;
+  };
   int Exit = 0;
   if (!Opts.Order.empty()) {
     if (Opts.Order == "baseline") {
@@ -1248,23 +564,15 @@ int main(int argc, char **argv) {
     }
     Config.SharedCommut = Oracle;
     core::VerificationResult R = core::runSingleOrder(P, Config, Opts.Order);
+    Prep.record(R.Stats);
     report(R, P, Opts, Opts.Order);
     if (Opts.CacheStats)
       reportCacheStats(R.Stats);
-    Exit = R.V == core::Verdict::Correct      ? 0
-           : R.V == core::Verdict::Incorrect ? 1
-                                             : 3;
+    Exit = ExitCode(R.V);
   } else if (Opts.ParallelPortfolio) {
-    runtime::ParallelConfig PC;
-    PC.Jobs = Opts.Jobs;
-    // Workers rebuild from source; replicate this process's preprocessing.
-    PC.PruneDeadEdges = !Opts.NoPrune;
-    PC.OctagonPrune = !Opts.NoOctagon;
-    PC.KarrPrune = !Opts.NoOctagon && !Opts.NoKarr;
-    PC.FuseTransactions = Opts.Fuse;
-    PC.SharedCommut = Oracle;
+    Config.SharedCommut = Oracle;
     runtime::ParallelPortfolioResult R =
-        runtime::runPortfolioParallel(Buffer.str(), Config, PC);
+        runtime::runPortfolioParallel(Buffer.str(), Config, Opts.Jobs);
     report(R.Best, P, Opts, R.BestOrder);
     std::printf("portfolio: %u job(s), wall %.3fs, race cost %.3fs\n",
                 R.Jobs, R.WallSeconds, R.sumSeconds());
@@ -1275,11 +583,10 @@ int main(int argc, char **argv) {
       std::printf("merged stats: %s\n", R.Merged.str().c_str());
     if (Opts.CacheStats)
       reportCacheStats(R.Merged);
-    Exit = R.Best.V == core::Verdict::Correct      ? 0
-           : R.Best.V == core::Verdict::Incorrect ? 1
-                                                  : 3;
+    Exit = ExitCode(R.Best.V);
   } else {
     core::PortfolioResult R = core::runPortfolio(P, Config);
+    Prep.record(R.Best.Stats);
     report(R.Best, P, Opts, R.BestOrder);
     if (Opts.CacheStats) {
       // Cache traffic is per order in the sequential sweep; aggregate it.
@@ -1288,9 +595,7 @@ int main(int argc, char **argv) {
         All.mergeFrom(E.Result.Stats);
       reportCacheStats(All);
     }
-    Exit = R.Best.V == core::Verdict::Correct      ? 0
-           : R.Best.V == core::Verdict::Incorrect ? 1
-                                                  : 3;
+    Exit = ExitCode(R.Best.V);
   }
   if (CommutDisk) {
     CommutTable.flushDisk();
