@@ -3,7 +3,6 @@
 #include "core/Portfolio.h"
 
 #include "persist/Fingerprint.h"
-#include "persist/ProofCache.h"
 #include "support/Timer.h"
 
 #include <cassert>
@@ -18,6 +17,7 @@ PortfolioResult seqver::core::runPortfolio(const prog::ConcurrentProgram &P,
       red::makePortfolioOrders(P, Base.RandOrders, Base.RandSeedBase);
 
   bool HaveBest = false;
+  size_t BestIndex = 0;
   for (auto &Order : Orders) {
     VerifierConfig Config = Base;
     Config.Order = Order.get();
@@ -37,37 +37,28 @@ PortfolioResult seqver::core::runPortfolio(const prog::ConcurrentProgram &P,
                      !isDecisive(Out.Best.V))) {
       Out.Best = R;
       Out.BestOrder = Order->name();
+      BestIndex = Out.Entries.size();
       HaveBest = true;
     }
     if (!HaveBest) {
       // Keep some result around even if nothing is decisive yet.
       Out.Best = R;
       Out.BestOrder = Order->name();
+      BestIndex = Out.Entries.size();
     }
     Out.Entries.push_back(std::move(Entry));
   }
   // Single deferred store of the winner's proof (last-writer-wins on the
   // shared directory). ProofAssertions are canonical printer output, so
-  // they round-trip through the next run's cache load unchanged. A warm
-  // winner's round count reflects the seeding; keep the producing run's
-  // cold count (rounds + rounds_saved_warm) so later hits still report
-  // their savings against the cold baseline.
+  // they round-trip through the next run's cache load unchanged. The store
+  // is counted on the winner's entry, where per-order cache traffic is
+  // read, and on Best, its copy.
   if (!Base.CacheDir.empty() && Base.CacheWriteBack &&
       isDecisive(Out.Best.V)) {
-    persist::ProofCache Cache(Base.CacheDir);
-    persist::StoredProof Stored;
-    Stored.Verdict = verdictName(Out.Best.V);
-    Stored.Order = Out.BestOrder;
-    Stored.Rounds = static_cast<uint64_t>(
-        Out.Best.Rounds + Out.Best.Stats.get("rounds_saved_warm"));
-    if (Out.Best.V == Verdict::Correct)
-      Stored.Predicates = Out.Best.ProofAssertions;
-    if (Stored.Predicates.size() > Base.MaxCachePredicates)
-      Stored.Predicates.resize(Base.MaxCachePredicates);
-    uint64_t Evicted = 0;
-    if (Cache.prepare() &&
-        Cache.store(persist::fingerprintProgram(P), Stored, &Evicted))
-      Out.Best.Stats.add("cache_evicted", static_cast<int64_t>(Evicted));
+    Statistics &Winner = Out.Entries[BestIndex].Result.Stats;
+    storeProof(Base.CacheDir, persist::fingerprintProgram(P), Out.BestOrder,
+               Out.Best, Winner);
+    Out.Best.Stats = Winner;
   }
   return Out;
 }

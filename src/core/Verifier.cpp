@@ -39,6 +39,26 @@ std::string seqver::core::verdictName(Verdict V) {
   return "invalid";
 }
 
+void seqver::core::storeProof(const std::string &Dir,
+                              const persist::Fingerprint &FP,
+                              const std::string &Order,
+                              const VerificationResult &R,
+                              Statistics &Stats) {
+  if (!isDecisive(R.V))
+    return;
+  persist::StoredProof Stored;
+  Stored.Verdict = verdictName(R.V);
+  Stored.Order = Order;
+  Stored.Rounds = R.CacheRounds;
+  if (R.V == Verdict::Correct)
+    Stored.Predicates = R.ProofAssertions;
+  uint64_t Evicted = 0;
+  if (persist::ProofCache(Dir).store(FP, Stored, &Evicted)) {
+    Stats.add("cache_stores");
+    Stats.add("cache_evicted", static_cast<int64_t>(Evicted));
+  }
+}
+
 namespace {
 
 /// True iff Sub (sorted) is a subset of Super (sorted).
@@ -158,12 +178,9 @@ public:
         persist::ParseOptions PO;
         PO.KnownVars = &Known;
         std::vector<Term> Seeds;
-        size_t Take =
-            std::min(Stored.Predicates.size(), Config.MaxCachePredicates);
-        Seeds.reserve(Take);
-        for (size_t I = 0; I < Take; ++I) {
-          persist::ParseResult PR =
-              persist::parseTerm(TM, Stored.Predicates[I], PO);
+        Seeds.reserve(Stored.Predicates.size());
+        for (const std::string &Text : Stored.Predicates) {
+          persist::ParseResult PR = persist::parseTerm(TM, Text, PO);
           if (PR.ok())
             Seeds.push_back(PR.Value);
         }
@@ -595,27 +612,14 @@ VerificationResult Verifier::Impl::run() {
       Stats.add("rounds_saved_warm",
                 static_cast<int64_t>(CachedRounds -
                                      static_cast<uint64_t>(Result.Rounds)));
-    if (Config.CacheWriteBack && isDecisive(Result.V)) {
-      persist::ProofCache Cache(Config.CacheDir);
-      persist::StoredProof Stored;
-      Stored.Verdict = verdictName(Result.V);
-      Stored.Order = Config.Order ? Config.Order->name() : "none";
-      // A warm run's round count reflects the seeding, not the program's
-      // cold cost; keep the producing run's count so later warm hits
-      // still report their savings against the cold baseline.
-      Stored.Rounds = WarmStarted && Result.V == Verdict::Correct
-                          ? CachedRounds
-                          : static_cast<uint64_t>(Result.Rounds);
-      if (Result.V == Verdict::Correct)
-        Stored.Predicates = Result.ProofAssertions;
-      if (Stored.Predicates.size() > Config.MaxCachePredicates)
-        Stored.Predicates.resize(Config.MaxCachePredicates);
-      uint64_t Evicted = 0;
-      if (Cache.prepare() && Cache.store(FP, Stored, &Evicted)) {
-        Stats.add("cache_stores");
-        Stats.add("cache_evicted", static_cast<int64_t>(Evicted));
-      }
-    }
+    // A warm run's round count reflects the seeding, not the program's
+    // cold cost.
+    Result.CacheRounds = WarmStarted && Result.V == Verdict::Correct
+                             ? CachedRounds
+                             : static_cast<uint64_t>(Result.Rounds);
+    if (Config.CacheWriteBack)
+      storeProof(Config.CacheDir, FP,
+                 Config.Order ? Config.Order->name() : "none", Result, Stats);
   }
   // Interning telemetry (docs/PERF.md): hits/misses aggregate the three
   // persistent per-verifier tables; the sleep-set counters additionally

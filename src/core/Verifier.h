@@ -24,6 +24,7 @@
 
 #include "core/Proof.h"
 #include "core/TraceAnalysis.h"
+#include "persist/Fingerprint.h"
 #include "program/Program.h"
 #include "reduction/Commutativity.h"
 #include "reduction/PersistentSets.h"
@@ -125,9 +126,6 @@ struct VerifierConfig {
   /// sequential portfolio turns this off per order and stores once after
   /// the sweep, so later orders stay cold (as-if-parallel emulation).
   bool CacheWriteBack = true;
-  /// Cap on predicates accepted from one cache record (bounds the Hoare
-  /// query burst an adversarial or bloated record can cause).
-  size_t MaxCachePredicates = 4096;
   /// Shared commutativity oracle (reduction/CommutOracle.h): a second-level
   /// memo table under manager-independent canonical keys, installed into
   /// this verifier's CommutativityChecker. Non-owning; the caller keeps the
@@ -204,9 +202,23 @@ struct VerificationResult {
   /// Pretty-printed assertions of the final proof (for Correct): the pool
   /// of Floyd/Hoare predicates the covering annotation draws from.
   std::vector<std::string> ProofAssertions;
+  /// Round count a proof-cache write-back records for this run: Rounds,
+  /// except that a warm-started correct run keeps the cold count of the
+  /// record it was seeded from, so later hits still report their savings
+  /// against the cold baseline.
+  uint64_t CacheRounds = 0;
   /// Peak DFS states visited in one round (memory proxy) and more.
   Statistics Stats;
 };
+
+/// Writes R to the proof cache in Dir as the record of FP when R's
+/// verdict is decisive (docs/PERSIST.md): the predicate pool for Correct,
+/// no predicates for Incorrect, R.CacheRounds as the round count. Counts
+/// cache_stores and cache_evicted into Stats. The verifier's write-back
+/// and the sequential portfolio's deferred store both go through here.
+void storeProof(const std::string &Dir, const persist::Fingerprint &FP,
+                const std::string &Order, const VerificationResult &R,
+                Statistics &Stats);
 
 /// Verifies one program under one configuration.
 class Verifier {

@@ -2,69 +2,13 @@
 
 #include "persist/CommutStore.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <system_error>
-
-#include <unistd.h>
-
 using namespace seqver;
 using namespace seqver::persist;
-namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char *FormatLine = "seqver-commut-cache 1";
-
-uint64_t fnv64(const std::string &Bytes) {
-  uint64_t H = 0xCBF29CE484222325ULL;
-  for (char C : Bytes) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 0x100000001B3ULL;
-  }
-  return H;
-}
-
-std::string hex64(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
-
-/// Splits "key value" at the first space; returns false if Line does not
-/// start with Key followed by a space.
-bool keyedLine(const std::string &Line, const char *Key, std::string &Value) {
-  size_t KeyLen = std::string(Key).size();
-  if (Line.size() < KeyLen + 2 || Line.compare(0, KeyLen, Key) != 0 ||
-      Line[KeyLen] != ' ')
-    return false;
-  Value = Line.substr(KeyLen + 1);
-  return true;
-}
-
-/// Strict decimal parse with a ceiling; rejects empty, non-digit, and
-/// overflowing input.
-bool parseCount(const std::string &Text, uint64_t Max, uint64_t &Out) {
-  if (Text.empty() || Text.size() > 20)
-    return false;
-  uint64_t V = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = static_cast<uint64_t>(C - '0');
-    if (V > (UINT64_MAX - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  if (V > Max)
-    return false;
-  Out = V;
-  return true;
-}
+const RecordFormat CommutFormat{".commut", "seqver-commut-cache 1", {},
+                                "entries", CommutStore::MaxEntriesPerFile};
 
 /// Parses one "<32hex> commutes|dependent" entry line.
 bool parseEntry(const std::string &Line, CommutEntry &Out) {
@@ -85,191 +29,28 @@ bool parseEntry(const std::string &Line, CommutEntry &Out) {
 
 } // namespace
 
-CommutStore::CommutStore(std::string Directory) : Dir(std::move(Directory)) {}
-
-bool CommutStore::prepare(std::string *Error) const {
-  if (!enabled()) {
-    if (Error)
-      *Error = "no cache directory configured";
-    return false;
-  }
-  std::error_code EC;
-  fs::create_directories(Dir, EC);
-  if (EC || !fs::is_directory(Dir, EC)) {
-    if (Error)
-      *Error = "cannot create cache directory '" + Dir +
-               "': " + EC.message();
-    return false;
-  }
-  return true;
-}
-
-std::string CommutStore::pathFor(const Fingerprint &FP) const {
-  return (fs::path(Dir) / (FP.hex() + ".commut")).string();
-}
+CommutStore::CommutStore(std::string Directory)
+    : RecordStore(std::move(Directory), CommutFormat) {}
 
 bool CommutStore::load(const Fingerprint &FP,
                        std::vector<CommutEntry> &Out) const {
-  if (!enabled())
+  RecordPayload Payload;
+  if (!loadPayload(FP, Payload))
     return false;
-  std::string Path = pathFor(FP);
-  std::error_code EC;
-  uint64_t Size = fs::file_size(Path, EC);
-  if (EC || Size > MaxFileBytes)
-    return false;
-
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::string Bytes(static_cast<size_t>(Size), '\0');
-  In.read(Bytes.data(), static_cast<std::streamsize>(Size));
-  if (static_cast<uint64_t>(In.gcount()) != Size)
-    return false;
-
-  // The checksum line covers every byte before it, including the newline
-  // that terminates the entry section.
-  size_t ChecksumAt = Bytes.rfind("checksum ");
-  if (ChecksumAt == std::string::npos ||
-      (ChecksumAt != 0 && Bytes[ChecksumAt - 1] != '\n'))
-    return false;
-  std::string Body = Bytes.substr(0, ChecksumAt);
-  std::string ChecksumLine = Bytes.substr(ChecksumAt);
-  while (!ChecksumLine.empty() && ChecksumLine.back() == '\n')
-    ChecksumLine.pop_back();
-  std::string Stored;
-  if (!keyedLine(ChecksumLine, "checksum", Stored) ||
-      Stored != hex64(fnv64(Body)))
-    return false;
-
-  // Line-split the verified body.
-  std::vector<std::string> Lines;
-  size_t Start = 0;
-  while (Start < Body.size()) {
-    size_t Nl = Body.find('\n', Start);
-    if (Nl == std::string::npos)
-      return false; // body must end in a newline
-    Lines.push_back(Body.substr(Start, Nl - Start));
-    Start = Nl + 1;
-  }
-  if (Lines.size() < 3 || Lines[0] != FormatLine)
-    return false;
-
-  std::string Value;
-  if (!keyedLine(Lines[1], "fingerprint", Value))
-    return false;
-  Fingerprint Declared;
-  if (!Fingerprint::fromHex(Value, Declared) || !(Declared == FP))
-    return false;
-
-  uint64_t NumEntries = 0;
-  if (!keyedLine(Lines[2], "entries", Value) ||
-      !parseCount(Value, MaxEntriesPerFile, NumEntries))
-    return false;
-  if (Lines.size() != 3 + NumEntries)
-    return false;
-
-  std::vector<CommutEntry> Entries;
-  Entries.reserve(NumEntries);
-  for (uint64_t I = 0; I < NumEntries; ++I) {
-    CommutEntry E;
-    if (!parseEntry(Lines[3 + I], E))
+  std::vector<CommutEntry> Entries(Payload.Items.size());
+  for (size_t I = 0; I < Entries.size(); ++I)
+    if (!parseEntry(Payload.Items[I], Entries[I]))
       return false;
-    Entries.push_back(E);
-  }
   Out = std::move(Entries);
   return true;
 }
 
-uint64_t CommutStore::evictOverCap() const {
-  if (!enabled())
-    return 0;
-  struct Entry {
-    fs::path Path;
-    fs::file_time_type MTime;
-    uint64_t Size;
-  };
-  std::vector<Entry> Entries;
-  uint64_t TotalBytes = 0;
-  std::error_code EC;
-  for (fs::directory_iterator It(Dir, EC), End; !EC && It != End;
-       It.increment(EC)) {
-    const fs::directory_entry &DE = *It;
-    if (DE.path().extension() != ".commut")
-      continue;
-    std::error_code FileEC;
-    if (!DE.is_regular_file(FileEC) || FileEC)
-      continue;
-    uint64_t Size = DE.file_size(FileEC);
-    if (FileEC)
-      continue;
-    fs::file_time_type MTime = DE.last_write_time(FileEC);
-    if (FileEC)
-      continue;
-    Entries.push_back({DE.path(), MTime, Size});
-    TotalBytes += Size;
-  }
-  if (Entries.size() <= MaxEntries && TotalBytes <= MaxTotalBytes)
-    return 0;
-  // Oldest first; ties broken by path so concurrent evictors agree.
-  std::sort(Entries.begin(), Entries.end(),
-            [](const Entry &A, const Entry &B) {
-              if (A.MTime != B.MTime)
-                return A.MTime < B.MTime;
-              return A.Path < B.Path;
-            });
-  uint64_t Evicted = 0;
-  size_t Remaining = Entries.size();
-  for (const Entry &E : Entries) {
-    if (Remaining <= MaxEntries && TotalBytes <= MaxTotalBytes)
-      break;
-    std::error_code RmEC;
-    fs::remove(E.Path, RmEC);
-    if (!RmEC)
-      ++Evicted;
-    --Remaining;
-    TotalBytes -= std::min(TotalBytes, E.Size);
-  }
-  return Evicted;
-}
-
 bool CommutStore::store(const Fingerprint &FP,
                         const std::vector<CommutEntry> &Entries) const {
-  if (!enabled())
-    return false;
-  size_t Count = std::min<size_t>(Entries.size(), MaxEntriesPerFile);
-  std::string Body = std::string(FormatLine) + "\n";
-  Body += "fingerprint " + FP.hex() + "\n";
-  Body += "entries " + std::to_string(Count) + "\n";
-  for (size_t I = 0; I < Count; ++I) {
-    Body += Entries[I].Key.hex();
-    Body += Entries[I].Commutes ? " commutes\n" : " dependent\n";
-  }
-  std::string Record = Body + "checksum " + hex64(fnv64(Body)) + "\n";
-
-  // Unique temp name per (process, store call): racing flushes must not
-  // interleave writes into a shared temp file.
-  static std::atomic<uint64_t> Seq{0};
-  std::string TempPath = pathFor(FP) + ".tmp." + std::to_string(getpid()) +
-                         "." + std::to_string(Seq.fetch_add(1));
-  {
-    std::ofstream Tmp(TempPath, std::ios::binary | std::ios::trunc);
-    if (!Tmp)
-      return false;
-    Tmp.write(Record.data(), static_cast<std::streamsize>(Record.size()));
-    Tmp.flush();
-    if (!Tmp) {
-      Tmp.close();
-      std::error_code EC;
-      fs::remove(TempPath, EC);
-      return false;
-    }
-  }
-  std::error_code EC;
-  fs::rename(TempPath, pathFor(FP), EC);
-  if (EC) {
-    fs::remove(TempPath, EC);
-    return false;
-  }
-  evictOverCap();
-  return true;
+  RecordPayload Payload;
+  Payload.Items.reserve(Entries.size());
+  for (const CommutEntry &E : Entries)
+    Payload.Items.push_back(E.Key.hex() +
+                            (E.Commutes ? " commutes" : " dependent"));
+  return storePayload(FP, Payload);
 }

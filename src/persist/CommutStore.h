@@ -5,7 +5,7 @@
 /// fingerprint under a cache directory, named `<32hex>.commut`, living
 /// beside the `.proof` records of persist/ProofCache.h.
 ///
-/// On-disk format (text, one record per file):
+/// Payload layout (framing: persist/RecordStore.h):
 ///
 /// \verbatim
 ///   seqver-commut-cache 1          format magic + version
@@ -18,24 +18,20 @@
 /// Each entry key is the 128-bit DualMixer hash of the query's canonical
 /// text (reduction/CommutOracle.h builds it); the value is the settled
 /// answer. Trust model (docs/PERSIST.md): a record is only parsed when the
-/// version, fingerprint, count, and trailing checksum all agree —
-/// anything else is a silent miss. Beyond that the two answer kinds carry
-/// different risk, which the *consumer* arbitrates: "dependent" answers
-/// are unconditionally sound to reuse (they only weaken the reduction),
-/// while "commutes" answers are trusted on the exact fingerprint + version
-/// + checksum match this store enforces, and can additionally be dropped
-/// wholesale by a conservative consumer (`--commut-cache=conservative`).
-///
-/// Concurrency: `store` writes a unique temp file and renames it over the
-/// destination — the same atomic last-writer-wins discipline as the proof
-/// cache. Racing flushes lose entries, never corrupt records.
+/// framing checks all pass — anything else is a silent miss. Beyond that
+/// the two answer kinds carry different risk, which the *consumer*
+/// arbitrates: "dependent" answers are unconditionally sound to reuse
+/// (they only weaken the reduction), while "commutes" answers are trusted
+/// on the exact fingerprint + version + checksum match the framing
+/// enforces, and can additionally be dropped wholesale by a conservative
+/// consumer (`--commut-cache=conservative`).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEQVER_PERSIST_COMMUTSTORE_H
 #define SEQVER_PERSIST_COMMUTSTORE_H
 
-#include "persist/Fingerprint.h"
+#include "persist/RecordStore.h"
 
 #include <cstdint>
 #include <string>
@@ -50,54 +46,25 @@ struct CommutEntry {
   bool Commutes = false;
 };
 
-/// Handle on one cache directory (shared with ProofCache; different file
-/// extension). Copyable and stateless apart from the path; safe to share
-/// across threads (all methods touch only the filesystem).
-class CommutStore {
+/// The `.commut` records of one cache directory, beside its `.proof`
+/// records.
+class CommutStore : public RecordStore {
 public:
-  /// An empty directory disables the store (enabled() == false).
   explicit CommutStore(std::string Directory);
 
-  const std::string &dir() const { return Dir; }
-  bool enabled() const { return !Dir.empty(); }
-
-  /// Creates the cache directory (and parents) if missing. Returns false
-  /// with *Error set when the directory cannot be used.
-  bool prepare(std::string *Error = nullptr) const;
-
-  /// Absolute path of the record for FP.
-  std::string pathFor(const Fingerprint &FP) const;
-
-  /// Loads the record for FP. Returns false — never throws — on a missing
-  /// file, size over MaxFileBytes, malformed header or entry line, version
-  /// or fingerprint mismatch, bad counts, or checksum failure. A rejected
-  /// record is treated exactly like a miss.
+  /// Loads the record for FP. Returns false on anything loadPayload
+  /// rejects or on a malformed entry line. A rejected record is treated
+  /// exactly like a miss.
   bool load(const Fingerprint &FP, std::vector<CommutEntry> &Out) const;
 
-  /// Atomically (re)writes the record for FP: unique temp file, then
-  /// rename. Entries beyond MaxEntriesPerFile are dropped from the tail.
-  /// Returns false if the directory is unusable. After a successful write
-  /// the directory's `.commut` records are brought back under the caps,
-  /// oldest modification time first.
+  /// Atomically (re)writes the record for FP (RecordStore::storePayload);
+  /// entries beyond MaxEntriesPerFile or the file-size cap are dropped
+  /// from the tail.
   bool store(const Fingerprint &FP,
              const std::vector<CommutEntry> &Entries) const;
 
-  /// Deletes `.commut` records, oldest modification time first, until the
-  /// directory is within both caps. Returns the number removed.
-  uint64_t evictOverCap() const;
-
-  /// Hard ceiling on a record's byte size; larger files are rejected
-  /// unread.
-  static constexpr uint64_t MaxFileBytes = 8u << 20;
-  /// Hard ceiling on the entry count a record may declare or a store may
-  /// write.
+  /// Hard ceiling on the entry count a record may declare.
   static constexpr uint64_t MaxEntriesPerFile = 1u << 18;
-  /// Eviction caps, matching the proof cache's.
-  static constexpr uint64_t MaxEntries = 256;
-  static constexpr uint64_t MaxTotalBytes = 64u << 20;
-
-private:
-  std::string Dir;
 };
 
 } // namespace persist

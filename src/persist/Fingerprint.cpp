@@ -62,16 +62,13 @@ enum class Tag : uint64_t {
   Sum,
 };
 
-/// Two independent 64-bit mixers over one token stream (FNV-1a flavored and
-/// a golden-ratio combiner). Also owns the canonical variable numbering:
-/// variables are assigned dense indices in first-encounter order along the
-/// caller's traversal, which makes the stream invariant to renaming.
+/// The tagged token stream of fingerprintProgram, fed into a DualMixer.
+/// Also owns the canonical variable numbering: variables are assigned
+/// dense indices in first-encounter order along the caller's traversal,
+/// which makes the stream invariant to renaming.
 class Hasher {
 public:
-  void word(uint64_t W) {
-    A = (A ^ W) * 0x100000001B3ULL;
-    B ^= W + 0x9E3779B97F4A7C15ULL + (B << 6) + (B >> 2);
-  }
+  void word(uint64_t W) { Mixer.word(W); }
   void tag(Tag T) { word(static_cast<uint64_t>(T)); }
 
   uint32_t varId(Term Var) {
@@ -122,11 +119,10 @@ public:
     }
   }
 
-  Fingerprint result() const { return {A, B}; }
+  Fingerprint result() const { return Mixer.result(); }
 
 private:
-  uint64_t A = 0xCBF29CE484222325ULL;
-  uint64_t B = 0x6A09E667F3BCC909ULL;
+  DualMixer Mixer;
   std::unordered_map<Term, uint32_t> VarIds;
 };
 

@@ -2,263 +2,43 @@
 
 #include "persist/ProofCache.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <system_error>
-
-#include <unistd.h>
-
 using namespace seqver;
 using namespace seqver::persist;
-namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char *FormatLine = "seqver-proof-cache 1";
-
-uint64_t fnv64(const std::string &Bytes) {
-  uint64_t H = 0xCBF29CE484222325ULL;
-  for (char C : Bytes) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 0x100000001B3ULL;
-  }
-  return H;
-}
-
-std::string hex64(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
-
-/// Splits "key value" at the first space; returns false if Line does not
-/// start with Key followed by a space.
-bool keyedLine(const std::string &Line, const char *Key, std::string &Value) {
-  size_t KeyLen = std::string(Key).size();
-  if (Line.size() < KeyLen + 2 || Line.compare(0, KeyLen, Key) != 0 ||
-      Line[KeyLen] != ' ')
-    return false;
-  Value = Line.substr(KeyLen + 1);
-  return true;
-}
-
-/// Strict decimal parse with a ceiling; rejects empty, non-digit, and
-/// overflowing input.
-bool parseCount(const std::string &Text, uint64_t Max, uint64_t &Out) {
-  if (Text.empty() || Text.size() > 20)
-    return false;
-  uint64_t V = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = static_cast<uint64_t>(C - '0');
-    if (V > (UINT64_MAX - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  if (V > Max)
-    return false;
-  Out = V;
-  return true;
-}
+const RecordFormat ProofFormat{".proof",
+                               "seqver-proof-cache 1",
+                               {"verdict", "order", "rounds"},
+                               "predicates",
+                               ProofCache::MaxPredicates};
 
 } // namespace
 
-ProofCache::ProofCache(std::string Directory) : Dir(std::move(Directory)) {}
-
-bool ProofCache::prepare(std::string *Error) const {
-  if (!enabled()) {
-    if (Error)
-      *Error = "no cache directory configured";
-    return false;
-  }
-  std::error_code EC;
-  fs::create_directories(Dir, EC);
-  if (EC || !fs::is_directory(Dir, EC)) {
-    if (Error)
-      *Error = "cannot create cache directory '" + Dir +
-               "': " + EC.message();
-    return false;
-  }
-  return true;
-}
-
-std::string ProofCache::pathFor(const Fingerprint &FP) const {
-  return (fs::path(Dir) / (FP.hex() + ".proof")).string();
-}
+ProofCache::ProofCache(std::string Directory)
+    : RecordStore(std::move(Directory), ProofFormat) {}
 
 bool ProofCache::load(const Fingerprint &FP, StoredProof &Out) const {
-  if (!enabled())
+  RecordPayload Payload;
+  if (!loadPayload(FP, Payload))
     return false;
-  std::string Path = pathFor(FP);
-  std::error_code EC;
-  uint64_t Size = fs::file_size(Path, EC);
-  if (EC || Size > MaxFileBytes)
-    return false;
-
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::string Bytes(static_cast<size_t>(Size), '\0');
-  In.read(Bytes.data(), static_cast<std::streamsize>(Size));
-  if (static_cast<uint64_t>(In.gcount()) != Size)
-    return false;
-
-  // The checksum line covers every byte before it, including the newline
-  // that terminates the predicate section.
-  size_t ChecksumAt = Bytes.rfind("checksum ");
-  if (ChecksumAt == std::string::npos ||
-      (ChecksumAt != 0 && Bytes[ChecksumAt - 1] != '\n'))
-    return false;
-  std::string Body = Bytes.substr(0, ChecksumAt);
-  std::string ChecksumLine = Bytes.substr(ChecksumAt);
-  while (!ChecksumLine.empty() && ChecksumLine.back() == '\n')
-    ChecksumLine.pop_back();
-  std::string Stored;
-  if (!keyedLine(ChecksumLine, "checksum", Stored) ||
-      Stored != hex64(fnv64(Body)))
-    return false;
-
-  // Line-split the verified body.
-  std::vector<std::string> Lines;
-  size_t Start = 0;
-  while (Start < Body.size()) {
-    size_t Nl = Body.find('\n', Start);
-    if (Nl == std::string::npos)
-      return false; // body must end in a newline
-    Lines.push_back(Body.substr(Start, Nl - Start));
-    Start = Nl + 1;
-  }
-  if (Lines.size() < 6 || Lines[0] != FormatLine)
-    return false;
-
-  std::string Value;
-  if (!keyedLine(Lines[1], "fingerprint", Value))
-    return false;
-  Fingerprint Declared;
-  if (!Fingerprint::fromHex(Value, Declared) || !(Declared == FP))
-    return false;
-
   StoredProof Proof;
-  if (!keyedLine(Lines[2], "verdict", Proof.Verdict) ||
-      (Proof.Verdict != "correct" && Proof.Verdict != "incorrect"))
+  Proof.Verdict = std::move(Payload.Header[0]);
+  if (Proof.Verdict != "correct" && Proof.Verdict != "incorrect")
     return false;
-  if (!keyedLine(Lines[3], "order", Proof.Order))
+  Proof.Order = std::move(Payload.Header[1]);
+  if (!parseCount(Payload.Header[2], UINT64_MAX, Proof.Rounds))
     return false;
-  if (!keyedLine(Lines[4], "rounds", Value) ||
-      !parseCount(Value, UINT64_MAX, Proof.Rounds))
-    return false;
-  uint64_t NumPredicates = 0;
-  if (!keyedLine(Lines[5], "predicates", Value) ||
-      !parseCount(Value, MaxPredicates, NumPredicates))
-    return false;
-  if (Lines.size() != 6 + NumPredicates)
-    return false;
-  Proof.Predicates.assign(Lines.begin() + 6, Lines.end());
+  Proof.Predicates = std::move(Payload.Items);
   Out = std::move(Proof);
   return true;
 }
 
-uint64_t ProofCache::evictOverCap() const {
-  if (!enabled())
-    return 0;
-  struct Entry {
-    fs::path Path;
-    fs::file_time_type MTime;
-    uint64_t Size;
-  };
-  std::vector<Entry> Entries;
-  uint64_t TotalBytes = 0;
-  std::error_code EC;
-  for (fs::directory_iterator It(Dir, EC), End; !EC && It != End;
-       It.increment(EC)) {
-    const fs::directory_entry &DE = *It;
-    if (DE.path().extension() != ".proof")
-      continue;
-    std::error_code FileEC;
-    if (!DE.is_regular_file(FileEC) || FileEC)
-      continue;
-    uint64_t Size = DE.file_size(FileEC);
-    if (FileEC)
-      continue;
-    fs::file_time_type MTime = DE.last_write_time(FileEC);
-    if (FileEC)
-      continue;
-    Entries.push_back({DE.path(), MTime, Size});
-    TotalBytes += Size;
-  }
-  if (Entries.size() <= MaxEntries && TotalBytes <= MaxTotalBytes)
-    return 0;
-  // Oldest first; ties broken by path so concurrent evictors agree.
-  std::sort(Entries.begin(), Entries.end(),
-            [](const Entry &A, const Entry &B) {
-              if (A.MTime != B.MTime)
-                return A.MTime < B.MTime;
-              return A.Path < B.Path;
-            });
-  uint64_t Evicted = 0;
-  size_t Remaining = Entries.size();
-  for (const Entry &E : Entries) {
-    if (Remaining <= MaxEntries && TotalBytes <= MaxTotalBytes)
-      break;
-    std::error_code RmEC;
-    fs::remove(E.Path, RmEC);
-    // A racing evictor may have beaten us to the file; the record is gone
-    // either way, so count it against the caps regardless.
-    if (!RmEC)
-      ++Evicted;
-    --Remaining;
-    TotalBytes -= std::min(TotalBytes, E.Size);
-  }
-  return Evicted;
-}
-
 bool ProofCache::store(const Fingerprint &FP, const StoredProof &Proof,
                        uint64_t *Evicted) const {
-  if (Evicted)
-    *Evicted = 0;
-  if (!enabled())
-    return false;
-  std::string Body = std::string(FormatLine) + "\n";
-  Body += "fingerprint " + FP.hex() + "\n";
-  Body += "verdict " + Proof.Verdict + "\n";
-  Body += "order " + Proof.Order + "\n";
-  Body += "rounds " + std::to_string(Proof.Rounds) + "\n";
-  Body += "predicates " + std::to_string(Proof.Predicates.size()) + "\n";
-  for (const std::string &Predicate : Proof.Predicates)
-    Body += Predicate + "\n";
-  std::string Record = Body + "checksum " + hex64(fnv64(Body)) + "\n";
-
-  // Unique temp name per (process, store call): racing portfolio workers
-  // of one process must not interleave writes into a shared temp file.
-  static std::atomic<uint64_t> Seq{0};
-  std::string TempPath = pathFor(FP) + ".tmp." + std::to_string(getpid()) +
-                         "." + std::to_string(Seq.fetch_add(1));
-  {
-    std::ofstream Tmp(TempPath, std::ios::binary | std::ios::trunc);
-    if (!Tmp)
-      return false;
-    Tmp.write(Record.data(), static_cast<std::streamsize>(Record.size()));
-    Tmp.flush();
-    if (!Tmp) {
-      Tmp.close();
-      std::error_code EC;
-      fs::remove(TempPath, EC);
-      return false;
-    }
-  }
-  std::error_code EC;
-  fs::rename(TempPath, pathFor(FP), EC);
-  if (EC) {
-    fs::remove(TempPath, EC);
-    return false;
-  }
-  uint64_t Removed = evictOverCap();
-  if (Evicted)
-    *Evicted = Removed;
-  return true;
+  return storePayload(FP,
+                      {{Proof.Verdict, Proof.Order,
+                        std::to_string(Proof.Rounds)},
+                       Proof.Predicates},
+                      Evicted);
 }

@@ -1,10 +1,11 @@
 //===- persist/ProofCache.h - Versioned on-disk proof store ---------------===//
 ///
 /// \file
-/// A durable, content-addressed store of verification proofs: one file per
-/// program fingerprint under a cache directory, named `<32hex>.proof`.
+/// A durable, content-addressed store of verification proofs: one
+/// `<32hex>.proof` record per program fingerprint in the framing of
+/// persist/RecordStore.h.
 ///
-/// On-disk format (text, one record per file):
+/// Payload layout:
 ///
 /// \verbatim
 ///   seqver-proof-cache 1          format magic + version
@@ -17,26 +18,18 @@
 ///   checksum <16 hex digits>      FNV-1a 64 over every preceding byte
 /// \endverbatim
 ///
-/// Trust model: **nothing in a cache file is trusted.** A load only
-/// succeeds if the version, fingerprint, counts and trailing checksum all
-/// agree, and even then the consumer re-verifies from scratch — the
-/// stored verdict is never returned as an answer, and the predicates only
-/// enter the proof automaton through the Hoare-gated
+/// Trust model: the stored verdict is never returned as an answer, and
+/// the predicates only enter the proof automaton through the Hoare-gated
 /// `ProofAutomaton::addSeedPredicates` seam. A corrupt, stale, or
-/// deliberately poisoned entry therefore costs wasted seeding time, never
-/// soundness (docs/PERSIST.md).
-///
-/// Concurrency: `store` writes a unique temp file in the cache directory
-/// and renames it over the destination. POSIX rename is atomic, so racing
-/// writers (parallel portfolio workers, concurrent seqver processes)
-/// yield last-writer-wins with no torn reads.
+/// deliberately poisoned record therefore costs wasted seeding time,
+/// never soundness (docs/PERSIST.md).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEQVER_PERSIST_PROOFCACHE_H
 #define SEQVER_PERSIST_PROOFCACHE_H
 
-#include "persist/Fingerprint.h"
+#include "persist/RecordStore.h"
 
 #include <cstdint>
 #include <string>
@@ -54,59 +47,25 @@ struct StoredProof {
   std::vector<std::string> Predicates;
 };
 
-/// Handle on one cache directory. Copyable and stateless apart from the
-/// path; safe to share across threads (all methods touch only the
-/// filesystem).
-class ProofCache {
+/// The `.proof` records of one cache directory.
+class ProofCache : public RecordStore {
 public:
-  /// An empty directory disables the cache (enabled() == false).
   explicit ProofCache(std::string Directory);
 
-  const std::string &dir() const { return Dir; }
-  bool enabled() const { return !Dir.empty(); }
-
-  /// Creates the cache directory (and parents) if missing. Returns false
-  /// with *Error set when the directory cannot be used.
-  bool prepare(std::string *Error = nullptr) const;
-
-  /// Absolute path of the record for FP.
-  std::string pathFor(const Fingerprint &FP) const;
-
-  /// Loads the record for FP. Returns false — never throws, never
-  /// asserts — on a missing file, size over MaxFileBytes, malformed
-  /// header, version or fingerprint mismatch, bad counts, or checksum
-  /// failure. A rejected record is treated exactly like a miss.
+  /// Loads the record for FP. Returns false on anything loadPayload
+  /// rejects, on an unknown verdict, or on a malformed round count. A
+  /// rejected record is treated exactly like a miss.
   bool load(const Fingerprint &FP, StoredProof &Out) const;
 
-  /// Atomically (re)writes the record for FP: unique temp file, then
-  /// rename. Returns false if the directory is unusable. Concurrent
-  /// stores of the same fingerprint end last-writer-wins. After a
-  /// successful write the directory is brought back under the MaxEntries /
-  /// MaxTotalBytes caps by deleting records oldest-modification-time
-  /// first; *Evicted (when non-null) receives the number of records
-  /// removed. Losing a record is always safe — the cache is a warm-start
-  /// hint, never an answer — so racing evictions at worst delete a file
-  /// twice (the second remove is a no-op).
+  /// Atomically (re)writes the record for FP (RecordStore::storePayload);
+  /// predicates beyond MaxPredicates or the file-size cap are dropped
+  /// from the tail.
   bool store(const Fingerprint &FP, const StoredProof &Proof,
              uint64_t *Evicted = nullptr) const;
 
-  /// Deletes `.proof` records, oldest modification time first, until the
-  /// directory is within both caps. Returns the number removed. Called by
-  /// store(); exposed for tests and offline maintenance.
-  uint64_t evictOverCap() const;
-
-  /// Hard ceiling on a record's byte size; larger files are rejected
-  /// unread so an adversarial cache directory cannot balloon memory.
-  static constexpr uint64_t MaxFileBytes = 8u << 20;
-  /// Hard ceiling on the predicate count a record may declare.
-  static constexpr uint64_t MaxPredicates = 1u << 16;
-  /// Eviction caps: record count and total byte size the directory is
-  /// trimmed back to at store time.
-  static constexpr uint64_t MaxEntries = 256;
-  static constexpr uint64_t MaxTotalBytes = 64u << 20;
-
-private:
-  std::string Dir;
+  /// Hard ceiling on the predicates a record holds. It also bounds the
+  /// Hoare query burst an adversarial or bloated record can cause.
+  static constexpr uint64_t MaxPredicates = 4096;
 };
 
 } // namespace persist

@@ -100,8 +100,6 @@ bool CommutOracle::flushDisk() const {
   if (!DiskBound)
     return false;
   persist::CommutStore Store(DiskDir);
-  if (!Store.prepare())
-    return false;
   // Load-merge-store: keep answers another process persisted meanwhile,
   // with this table's answers taking precedence on overlap. The final
   // rename is atomic, so a racing flush ends last-writer-wins with a

@@ -267,7 +267,6 @@ TEST(SharedOracleTest, ParallelPortfolioRerunHitsSharedTable) {
 TEST(CommutStoreTest, RoundTripAndChecksumRejection) {
   TempCacheDir Dir;
   persist::CommutStore Store(Dir.Path);
-  ASSERT_TRUE(Store.prepare());
   persist::Fingerprint FP = keyOf(0x1111, 0x2222);
   std::vector<persist::CommutEntry> In = {{keyOf(1, 2), true},
                                           {keyOf(3, 4), false}};

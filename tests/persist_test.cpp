@@ -10,6 +10,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "persist/CommutStore.h"
 #include "persist/Fingerprint.h"
 #include "persist/ProofCache.h"
 #include "persist/TermIO.h"
@@ -115,6 +116,15 @@ TEST(FingerprintTest, ChangesUnderSemanticEdit) {
   EXPECT_NE(FS, fingerprintProgram(*Bug));
   EXPECT_NE(FS, fingerprintProgram(*Longer));
   EXPECT_NE(FS, fingerprintProgram(*Extra));
+}
+
+TEST(FingerprintTest, PinnedValue) {
+  // Every record on disk is keyed by this hash: a changed value orphans
+  // all existing caches, so any change to the token stream must be
+  // deliberate (and bump the format word fingerprintProgram feeds first).
+  smt::TermManager TM;
+  auto P = build(workloads::loopSumSource(5), TM);
+  EXPECT_EQ(fingerprintProgram(*P).hex(), "5c863d9e73aca8c205d3a1a54c6be5be");
 }
 
 TEST(FingerprintTest, ProgramVariableNames) {
@@ -301,7 +311,6 @@ protected:
 
 TEST_F(ProofCacheTest, StoreLoadRoundTrip) {
   ProofCache Cache(Tmp.Path);
-  ASSERT_TRUE(Cache.prepare());
   ASSERT_TRUE(Cache.store(FP, sample()));
   StoredProof Out;
   ASSERT_TRUE(Cache.load(FP, Out));
@@ -316,7 +325,6 @@ TEST_F(ProofCacheTest, MissIsNotAnError) {
   StoredProof Out;
   EXPECT_FALSE(Cache.load(FP, Out));
   ProofCache Disabled("");
-  EXPECT_FALSE(Disabled.enabled());
   EXPECT_FALSE(Disabled.load(FP, Out));
   EXPECT_FALSE(Disabled.store(FP, sample()));
 }
@@ -404,7 +412,6 @@ TEST_F(ProofCacheTest, LastWriterWins) {
 
 TEST_F(ProofCacheTest, StoreEvictsOldestOverEntryCap) {
   ProofCache Cache(Tmp.Path);
-  ASSERT_TRUE(Cache.prepare());
   namespace fs = std::filesystem;
   // Fill to exactly the cap, backdating each record so eviction order is
   // unambiguous regardless of filesystem timestamp resolution: record K
@@ -450,7 +457,6 @@ TEST_F(ProofCacheTest, StoreEvictsOldestOverEntryCap) {
 
 TEST_F(ProofCacheTest, EvictOverCapEnforcesByteBudget) {
   ProofCache Cache(Tmp.Path);
-  ASSERT_TRUE(Cache.prepare());
   namespace fs = std::filesystem;
   // Synthesize a handful of oversized fake records directly (store() would
   // never produce them, but a shared cache directory can accumulate
@@ -480,6 +486,158 @@ TEST_F(ProofCacheTest, EvictOverCapEnforcesByteBudget) {
       Tmp.Path + "/00000000000000000000000000000bb0.proof"));
   // Within budget again: a second sweep is a no-op.
   EXPECT_EQ(Cache.evictOverCap(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The shared record store (persist/RecordStore.h) under both record kinds
+//===----------------------------------------------------------------------===//
+
+class RecordStoreTest : public ProofCacheTest {
+protected:
+  Fingerprint CommutFP{0x1111, 0x2222};
+  std::vector<CommutEntry> commutSample() {
+    return {{Fingerprint{1, 2}, true}, {Fingerprint{3, 4}, false}};
+  }
+};
+
+// Format version 1 bytes of sample() and commutSample(). Records already
+// on disk are in exactly these bytes, so they must keep loading.
+const char GoldenProof[] = "seqver-proof-cache 1\n"
+                           "fingerprint 11112222333344445555666677778888\n"
+                           "verdict correct\n"
+                           "order seq\n"
+                           "rounds 7\n"
+                           "predicates 3\n"
+                           "(total <= 5)\n"
+                           "(i + -1*total == 0)\n"
+                           "true\n"
+                           "checksum 37c4991779307c71\n";
+const char GoldenCommut[] =
+    "seqver-commut-cache 1\n"
+    "fingerprint 00000000000011110000000000002222\n"
+    "entries 2\n"
+    "00000000000000010000000000000002 commutes\n"
+    "00000000000000030000000000000004 dependent\n"
+    "checksum 8cf3f6ac04928a73\n";
+
+TEST_F(RecordStoreTest, ProofRecordBytesAreStable) {
+  ProofCache Cache(Tmp.Path);
+  ASSERT_TRUE(Cache.store(FP, sample()));
+  EXPECT_EQ(slurp(Cache.pathFor(FP)), GoldenProof);
+
+  rewrite(Cache.pathFor(FP), GoldenProof);
+  StoredProof Out;
+  ASSERT_TRUE(Cache.load(FP, Out));
+  EXPECT_EQ(Out.Verdict, "correct");
+  EXPECT_EQ(Out.Order, "seq");
+  EXPECT_EQ(Out.Rounds, 7u);
+  EXPECT_EQ(Out.Predicates, sample().Predicates);
+}
+
+TEST_F(RecordStoreTest, CommutRecordBytesAreStable) {
+  CommutStore Store(Tmp.Path);
+  ASSERT_TRUE(Store.store(CommutFP, commutSample()));
+  EXPECT_EQ(slurp(Store.pathFor(CommutFP)), GoldenCommut);
+
+  rewrite(Store.pathFor(CommutFP), GoldenCommut);
+  std::vector<CommutEntry> Out;
+  ASSERT_TRUE(Store.load(CommutFP, Out));
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[0].Key, (Fingerprint{1, 2}));
+  EXPECT_TRUE(Out[0].Commutes);
+  EXPECT_EQ(Out[1].Key, (Fingerprint{3, 4}));
+  EXPECT_FALSE(Out[1].Commutes);
+}
+
+TEST_F(RecordStoreTest, EvictionStaysWithinOneKind) {
+  namespace fs = std::filesystem;
+  ProofCache Cache(Tmp.Path);
+  CommutStore Store(Tmp.Path);
+  // One record of each kind, a day older than anything stored below.
+  Fingerprint Old{0xCCCC, 0xDDDD};
+  ASSERT_TRUE(Cache.store(Old, sample()));
+  ASSERT_TRUE(Store.store(Old, commutSample()));
+  for (const std::string &Path : {Cache.pathFor(Old), Store.pathFor(Old)}) {
+    std::error_code EC;
+    fs::last_write_time(
+        Path, fs::file_time_type::clock::now() - std::chrono::hours(24), EC);
+    ASSERT_FALSE(EC);
+  }
+  auto count = [&](const char *Extension) {
+    uint64_t N = 0;
+    for (const auto &DE : fs::directory_iterator(Tmp.Path))
+      N += DE.path().extension() == Extension;
+    return N;
+  };
+  StoredProof Proof;
+  std::vector<CommutEntry> Entries;
+
+  // A flood of proofs evicts the oldest proof, never the older commut.
+  for (uint64_t K = 0; K < RecordStore::MaxEntries; ++K)
+    ASSERT_TRUE(Cache.store(Fingerprint{0xAAAA, K}, sample()));
+  EXPECT_FALSE(Cache.load(Old, Proof));
+  EXPECT_TRUE(Store.load(Old, Entries));
+  EXPECT_EQ(count(".proof"), RecordStore::MaxEntries);
+
+  // A flood of commutativity records evicts the oldest of its own kind
+  // and leaves every proof in place.
+  for (uint64_t K = 0; K < RecordStore::MaxEntries; ++K)
+    ASSERT_TRUE(Store.store(Fingerprint{0xBBBB, K}, commutSample()));
+  EXPECT_FALSE(Store.load(Old, Entries));
+  EXPECT_TRUE(Store.load(Fingerprint{0xBBBB, 0}, Entries));
+  EXPECT_EQ(count(".commut"), RecordStore::MaxEntries);
+  EXPECT_EQ(count(".proof"), RecordStore::MaxEntries);
+  EXPECT_TRUE(Cache.load(Fingerprint{0xAAAA, 0}, Proof));
+}
+
+TEST_F(RecordStoreTest, CommutStoreAtEntryCapWritesLoadableRecord) {
+  // MaxEntriesPerFile entries of 42-43 bytes are about 11 MB, over the
+  // read cap: the store keeps the longest prefix that still loads.
+  CommutStore Store(Tmp.Path);
+  std::vector<CommutEntry> In(CommutStore::MaxEntriesPerFile);
+  for (uint64_t I = 0; I < In.size(); ++I)
+    In[I] = {Fingerprint{I, ~I}, I % 2 == 0};
+  ASSERT_TRUE(Store.store(CommutFP, In));
+  uint64_t Size = std::filesystem::file_size(Store.pathFor(CommutFP));
+  EXPECT_LE(Size, RecordStore::MaxFileBytes);
+  EXPECT_GT(Size + 43, RecordStore::MaxFileBytes) << "prefix is not maximal";
+  std::vector<CommutEntry> Out;
+  ASSERT_TRUE(Store.load(CommutFP, Out));
+  ASSERT_GT(Out.size(), 0u);
+  ASSERT_LT(Out.size(), In.size());
+  for (size_t I = 0; I < Out.size(); ++I) {
+    ASSERT_EQ(Out[I].Key, In[I].Key);
+    ASSERT_EQ(Out[I].Commutes, In[I].Commutes);
+  }
+}
+
+TEST_F(RecordStoreTest, ProofStoreAtCapsWritesLoadableRecord) {
+  ProofCache Cache(Tmp.Path);
+  StoredProof Out;
+
+  // Over the predicate cap: the tail is dropped.
+  StoredProof Many = sample();
+  Many.Predicates.assign(ProofCache::MaxPredicates + 1, "(i <= 0)");
+  ASSERT_TRUE(Cache.store(FP, Many));
+  ASSERT_TRUE(Cache.load(FP, Out));
+  EXPECT_EQ(Out.Predicates.size(), ProofCache::MaxPredicates);
+
+  // Within the predicate cap but over the read cap: the tail is dropped.
+  StoredProof Big = sample();
+  Big.Predicates.assign(ProofCache::MaxPredicates, std::string(4096, 'x'));
+  ASSERT_TRUE(Cache.store(FP, Big));
+  EXPECT_LE(std::filesystem::file_size(Cache.pathFor(FP)),
+            RecordStore::MaxFileBytes);
+  ASSERT_TRUE(Cache.load(FP, Out));
+  EXPECT_GT(Out.Predicates.size(), 0u);
+  EXPECT_LT(Out.Predicates.size(), ProofCache::MaxPredicates);
+
+  // Too large even without predicates: nothing is written.
+  Fingerprint OtherFP{0xEEEE, 0xFFFF};
+  StoredProof Huge = sample();
+  Huge.Order = std::string(RecordStore::MaxFileBytes, 'o');
+  EXPECT_FALSE(Cache.store(OtherFP, Huge));
+  EXPECT_FALSE(std::filesystem::exists(Cache.pathFor(OtherFP)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -635,6 +793,45 @@ TEST_F(WarmStartTest, SequentialPortfolioDefersWriteBack) {
   for (const auto &E : Warm.Entries)
     Hits += E.Result.Stats.get("cache_hits");
   EXPECT_EQ(Hits, static_cast<int64_t>(Warm.Entries.size()));
+
+  // Each sweep's one deferred store is counted on the winner's entry and
+  // on Best.
+  for (const core::PortfolioResult *R : {&Cold, &Warm}) {
+    int64_t Stores = 0;
+    for (const auto &E : R->Entries)
+      Stores += E.Result.Stats.get("cache_stores");
+    EXPECT_EQ(Stores, 1);
+    EXPECT_EQ(R->Best.Stats.get("cache_stores"), 1);
+  }
+}
+
+TEST_F(WarmStartTest, PortfolioStoreKeepsSeedingRecordsRounds) {
+  // A warm correct winner records the round count of the record it was
+  // seeded from, as a single-order run does, even when the record holds
+  // fewer rounds than the warm run took.
+  smt::TermManager TM;
+  auto P = build(workloads::loopSumSource(4), TM);
+  core::VerifierConfig Config;
+  Config.TimeoutSeconds = 30;
+  Config.CacheDir = Tmp.Path;
+  ASSERT_EQ(core::runPortfolio(*P, Config).Best.V, core::Verdict::Correct);
+  ProofCache Cache(Tmp.Path);
+  Fingerprint FP = fingerprintProgram(*P);
+  StoredProof Stored;
+  ASSERT_TRUE(Cache.load(FP, Stored));
+  Stored.Rounds = 0;
+  ASSERT_TRUE(Cache.store(FP, Stored));
+
+  core::PortfolioResult Warm = core::runPortfolio(*P, Config);
+  ASSERT_EQ(Warm.Best.V, core::Verdict::Correct);
+  ASSERT_GT(Warm.Best.Stats.get("cache_seeded"), 0);
+  ASSERT_TRUE(Cache.load(FP, Stored));
+  EXPECT_EQ(Stored.Rounds, 0u);
+
+  core::VerificationResult Single = core::runSingleOrder(*P, Config, "seq");
+  ASSERT_EQ(Single.V, core::Verdict::Correct);
+  ASSERT_TRUE(Cache.load(FP, Stored));
+  EXPECT_EQ(Stored.Rounds, 0u);
 }
 
 //===----------------------------------------------------------------------===//

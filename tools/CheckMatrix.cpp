@@ -116,7 +116,8 @@ std::string poisonedEntryRow(const MatrixOptions &O, const std::string &Dir) {
   persist::StoredProof SafeProof;
   if (!Cache.load(persist::fingerprintProgram(*Safe.Program), SafeProof))
     return "loop_sum/poisoned: no stored safe proof";
-  Cache.store(persist::fingerprintProgram(*Bug.Program), SafeProof);
+  if (!Cache.store(persist::fingerprintProgram(*Bug.Program), SafeProof))
+    return "loop_sum/poisoned: cannot store the poisoned record";
   core::VerificationResult Poisoned =
       core::runSingleOrder(*Bug.Program, Config, "seq");
   bool Rejected = Poisoned.V == Verdict::Incorrect &&

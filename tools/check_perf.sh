@@ -181,7 +181,7 @@ fi
 # >= 30%, persisted-warm >= 70% — a safety margin under the 40%/80% the
 # checked-in baseline demonstrates) plus a generous ceiling on the shared
 # arm's absolute query count against the baseline, with one retry for
-# scheduler noise. Verdict agreement is tools/check_commut.sh's job; here
+# scheduler noise. Verdict agreement is seqver --check=commut's job; here
 # only the savings are gated.
 if [ -x "$COMMUT_BENCH" ] && [ -f "$COMMUT_BASELINE" ]; then
   COMMUT_TOL="${SEQVER_COMMUT_TOLERANCE_PCT:-50}"
@@ -222,7 +222,7 @@ fi
 # above the floor — default 30%, override with SEQVER_INCR_MIN_SAVINGS_PCT —
 # a safety margin under the ~70% the checked-in baseline demonstrates. One
 # retry absorbs scheduler noise; verdict agreement between the arms is
-# enforced by the bench itself (and tools/check_incremental.sh).
+# enforced by the bench itself (and seqver --check=incremental).
 if [ -x "$INCR_BENCH" ] && [ -f "$INCR_BASELINE" ]; then
   INCR_FLOOR="${SEQVER_INCR_MIN_SAVINGS_PCT:-30}"
   check_incr() {

@@ -14,7 +14,10 @@
 #      --stats: one record per prepared program on every path;
 #   5. malformed numbers, unknown order or check-group names, and option
 #      combinations that would be silently ignored are usage errors
-#      (exit 2).
+#      (exit 2);
+#   6. --cache-dir under the default sequential portfolio: the deferred
+#      store of the winner's proof is counted in the --cache-stats line,
+#      on the cold run and on the warm one.
 #
 # Usage: tools/cli_probes.sh [path/to/seqver]   (default build/tools/seqver)
 set -eu
@@ -159,5 +162,17 @@ expect_usage_error --check=tiers,slow
           --simulate=3 "$WORK/loop.conc" > /dev/null ||
   fail "well-formed options rejected"
 echo "usage-error probe: done"
+
+# 6. Deferred portfolio store.
+for RUN in cold warm; do
+  LINE=$("$SEQVER" --cache-dir="$WORK/portfolio" --cache-stats \
+           "$WORK/loop.conc" | grep '^cache:' || true)
+  case "$LINE" in
+    *", 1 store(s)")
+      echo "portfolio-store probe ($RUN): ok (${LINE#cache: })" ;;
+    *)
+      fail "$RUN sequential-portfolio run did not count its store: ${LINE:-<missing>}" ;;
+  esac
+done
 
 exit "$FAILED"
