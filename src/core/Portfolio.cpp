@@ -5,8 +5,6 @@
 #include "persist/Fingerprint.h"
 #include "support/Timer.h"
 
-#include <cassert>
-
 using namespace seqver;
 using namespace seqver::core;
 
@@ -86,8 +84,11 @@ seqver::core::runSingleOrder(const prog::ConcurrentProgram &P,
     Verifier V(P, Config);
     return V.run();
   }
-  assert(false && "unknown preference order name");
-  return {};
+  // No portfolio order carries this name: undecided, never an abort.
+  VerificationResult Unknown;
+  Unknown.V = Verdict::Unknown;
+  Unknown.Stats.add("unknown_order");
+  return Unknown;
 }
 
 AdaptiveResult

@@ -44,6 +44,8 @@ PortfolioResult runPortfolio(const prog::ConcurrentProgram &P,
 
 /// Runs a single order by name ("seq", "lockstep", "rand(1)", ...); returns
 /// the verification result. Order name "baseline" runs without reduction.
+/// A name no order carries yields Verdict::Unknown with an `unknown_order`
+/// statistic.
 VerificationResult runSingleOrder(const prog::ConcurrentProgram &P,
                                   const VerifierConfig &Base,
                                   const std::string &OrderName);

@@ -41,17 +41,18 @@ size_t ProofAutomaton::addSeedPredicates(const std::vector<Term> &Seeds) {
   return Added;
 }
 
-Term ProofAutomaton::conjunction(const PredSet &S) {
-  auto It = ConjCache.find(S);
-  if (It != ConjCache.end())
-    return It->second;
+Term ProofAutomaton::conjunction(SetId S) {
+  if (S >= Conj.size())
+    Conj.resize(Sets.size(), nullptr);
+  if (Conj[S])
+    return Conj[S];
+  const PredSet &Preds = Sets[S];
   std::vector<Term> Conjuncts;
-  Conjuncts.reserve(S.size());
-  for (uint32_t Id : S)
+  Conjuncts.reserve(Preds.size());
+  for (uint32_t Id : Preds)
     Conjuncts.push_back(Predicates[Id]);
-  Term Result = TM.mkAnd(std::move(Conjuncts));
-  ConjCache.emplace(S, Result);
-  return Result;
+  Conj[S] = TM.mkAnd(std::move(Conjuncts));
+  return Conj[S];
 }
 
 bool ProofAutomaton::hoareHolds(HoareSession &HS, Term Pre, uint32_t PostId,
@@ -68,7 +69,7 @@ bool ProofAutomaton::hoareHolds(HoareSession &HS, Term Pre, uint32_t PostId,
   return HS.Sess->isUnsatUnder({HS.Sess->prepare(Pre), It->second});
 }
 
-PredSet ProofAutomaton::initialSet() {
+SetId ProofAutomaton::initialSet() {
   Term Init = P.initialConstraint();
   PredSet Out;
   for (uint32_t Id = 0; Id < Predicates.size(); ++Id) {
@@ -81,7 +82,7 @@ PredSet ProofAutomaton::initialSet() {
     if (Holds)
       Out.push_back(Id);
   }
-  return Out;
+  return Sets.intern(Out);
 }
 
 Term ProofAutomaton::wpCached(Letter L, uint32_t PredId) {
@@ -94,11 +95,12 @@ Term ProofAutomaton::wpCached(Letter L, uint32_t PredId) {
   return Wp;
 }
 
-const PredSet &ProofAutomaton::step(const PredSet &S, Letter L) {
-  auto Key = std::make_pair(S, L);
-  auto It = StepCache.find(Key);
-  if (It != StepCache.end())
-    return It->second;
+SetId ProofAutomaton::step(SetId S, Letter L) {
+  size_t Slot = static_cast<size_t>(S) * P.numLetters() + L;
+  if (Slot >= StepMemo.size())
+    StepMemo.resize(Sets.size() * P.numLetters(), 0);
+  if (StepMemo[Slot])
+    return StepMemo[Slot] - 1;
 
   PredSet Out;
   Term Pre = conjunction(S);
@@ -117,16 +119,20 @@ const PredSet &ProofAutomaton::step(const PredSet &S, Letter L) {
         Out.push_back(Id);
     }
   }
-  return StepCache.emplace(Key, std::move(Out)).first->second;
+  SetId Next = Sets.intern(Out);
+  // Interning may have grown the set count but never the memo slot count
+  // needed for S, so Slot is still in range.
+  StepMemo[Slot] = Next + 1;
+  return Next;
 }
 
 void ProofAutomaton::invalidateCaches() {
-  StepCache.clear();
-  // Conj and wp caches stay valid: they are keyed by content that does not
-  // change when the pool grows. The incremental Hoare sessions also survive
-  // on purpose — their premise handles and verdict memos are keyed by
-  // terms/ids whose meaning is round-independent, and reusing them is the
-  // whole point of the incremental gate.
+  std::fill(StepMemo.begin(), StepMemo.end(), 0);
+  // The set interner and the conj and wp caches stay valid: they are keyed
+  // by content that does not change when the pool grows. The incremental
+  // Hoare sessions also survive on purpose — their premise handles and
+  // verdict memos are keyed by terms/ids whose meaning is round-independent,
+  // and reusing them is the whole point of the incremental gate.
 }
 
 void ProofAutomaton::setEnabledMask(std::vector<bool> Mask) {

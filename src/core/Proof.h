@@ -19,6 +19,7 @@
 #include "program/Program.h"
 #include "program/Semantics.h"
 #include "smt/Solver.h"
+#include "support/InternTable.h"
 
 #include <cstdint>
 #include <map>
@@ -30,9 +31,14 @@ namespace core {
 
 /// Canonical sorted vector of predicate ids.
 using PredSet = std::vector<uint32_t>;
+/// Dense id of an interned PredSet (ProofAutomaton::set()).
+using SetId = uint32_t;
 
 /// Grows monotonically across refinement rounds; transitions are computed
-/// lazily with caching.
+/// lazily with caching. Automaton states are interned predicate sets: every
+/// PredSet the automaton produces gets a dense SetId that stays valid for
+/// the automaton's lifetime (across rounds and mask changes), so callers
+/// key their own memos on it.
 class ProofAutomaton {
 public:
   ProofAutomaton(smt::TermManager &TM, smt::QueryEngine &QE,
@@ -58,21 +64,31 @@ public:
   size_t numPredicates() const { return Predicates.size(); }
   smt::Term predicate(uint32_t Id) const { return Predicates[Id]; }
 
-  /// Conjunction term of the predicates in S (cached).
-  smt::Term conjunction(const PredSet &S);
+  /// Interns S (sorted, duplicate-free) and returns its id.
+  SetId internSet(const PredSet &S) { return Sets.intern(S); }
+  /// The predicate set of an id.
+  const PredSet &set(SetId S) const { return Sets[S]; }
+  /// The set interner's probe counters (telemetry).
+  uint64_t setInternHits() const { return Sets.hits(); }
+  uint64_t setInternMisses() const { return Sets.misses(); }
+
+  /// Conjunction term of the predicates in S (computed once per id).
+  smt::Term conjunction(SetId S);
 
   /// Predicates implied by the program's initial constraint.
-  PredSet initialSet();
+  SetId initialSet();
 
   /// Proof transition: largest T with {conj(S)} a {conj(T)} valid.
-  const PredSet &step(const PredSet &S, automata::Letter L);
+  /// Memoized per (S, L) in a flat table until the next invalidateCaches().
+  SetId step(SetId S, automata::Letter L);
 
-  bool isFalse(const PredSet &S) const {
-    return !S.empty() && S.front() == FalseId;
+  bool isFalse(SetId S) const {
+    const PredSet &Preds = Sets[S];
+    return !Preds.empty() && Preds.front() == FalseId;
   }
 
-  /// Drops transition/initial caches; called when the pool grows between
-  /// rounds (cached steps would otherwise miss new predicates).
+  /// Drops the step memo; called when the pool grows between rounds
+  /// (cached steps would otherwise miss new predicates).
   void invalidateCaches();
 
   /// Restricts the automaton to a subset of the pool: disabled predicates
@@ -121,8 +137,13 @@ private:
   std::vector<smt::Term> Predicates;
   std::vector<bool> EnabledMask; // empty = all enabled
   std::map<smt::Term, uint32_t> PredicateIds;
-  std::map<PredSet, smt::Term> ConjCache;
-  std::map<std::pair<PredSet, automata::Letter>, PredSet> StepCache;
+  /// Interned predicate sets and, by SetId, their conjunctions (null until
+  /// first asked for). Both live as long as the automaton.
+  InternTable<PredSet> Sets;
+  std::vector<smt::Term> Conj;
+  /// Step memo: slot S * numLetters + L holds step(S, L) + 1, 0 = unknown.
+  /// Allocated on the first step() and grown with the set interner.
+  std::vector<SetId> StepMemo;
   std::map<std::pair<automata::Letter, uint32_t>, smt::Term> WpCache;
   std::map<automata::Letter, HoareSession> LetterSessions;
   HoareSession InitSession;

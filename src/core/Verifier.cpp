@@ -9,12 +9,10 @@
 #include "persist/ProofCache.h"
 #include "persist/TermIO.h"
 
-#include "support/Bitset.h"
 #include "support/InternTable.h"
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace seqver;
 using namespace seqver::core;
@@ -92,6 +90,9 @@ void collectAtoms(Term Formula, std::vector<Term> &Atoms) {
   }
 }
 
+/// Most assertion sets the useless-state table records per node.
+constexpr size_t MaxUselessEntriesPerNode = 8;
+
 } // namespace
 
 class Verifier::Impl {
@@ -102,7 +103,6 @@ public:
         SleepIntern(P.numLetters()) {
     if (!Config.StaticTier)
       Commut.disableStaticTier();
-    Commut.setStatistics(&Stats);
     if (Config.SharedCommut)
       Commut.setSharedOracle(Config.SharedCommut);
     // Semantic commutativity queries are the most expensive step between
@@ -199,8 +199,9 @@ public:
 
 private:
   /// The DFS node identity: product state, order context, sleep set, proof
-  /// assertion set. Every structured component is interned to a dense id in
-  /// the per-verifier tables below, so a key is four integers: hashing,
+  /// assertion set. Every structured component is interned to a dense id
+  /// (the assertion set by the proof automaton, the rest by the
+  /// per-verifier tables below), so a key is four integers: hashing,
   /// comparing, and copying a DFS node is O(1) regardless of thread count,
   /// alphabet size, or proof size (the per-state constant-factor half of the
   /// paper's linear-size-reduction argument; see docs/PERF.md).
@@ -208,7 +209,7 @@ private:
     uint32_t Q = 0;                ///< Interned ProductState id.
     PreferenceOrder::Context Ctx = PreferenceOrder::InitialContext;
     SleepSetId Sleep = SleepSetInterner::EmptySetId;
-    uint32_t Phi = 0;              ///< Interned PredSet id.
+    SetId Phi = 0;                 ///< ProofAutomaton set id.
 
     bool operator==(const Key &) const = default;
     uint64_t hash() const {
@@ -229,10 +230,30 @@ private:
     bool IsExitTrace = false;
   };
 
+  /// One DFS frame: a node on the stack, its successors, and its
+  /// useless-table entry (interned at push, so the pop that marks the node
+  /// useless appends to it without another lookup).
+  struct Frame {
+    Key Node;
+    Letter InLetter = 0;
+    uint32_t VisitedId = 0;
+    std::vector<std::pair<Letter, Key>> Succs;
+    size_t NextIndex = 0;
+    bool TouchedUnknown = false;
+    uint32_t UselessId = 0;
+  };
+
   RoundResult checkProofRound();
   void expand(const Key &Node, std::vector<std::pair<Letter, Key>> &Out);
-  bool isKnownUseless(const Key &Node);
-  void markUseless(const Key &Node);
+  /// True iff entry UselessId records a subset of Phi (a weaker assertion
+  /// set under which the node was already counterexample-free).
+  bool uselessCovers(uint32_t UselessId, SetId Phi);
+  void markUseless(const Frame &F);
+  /// Interns S; a new id gets its error and all-exit flags.
+  uint32_t internState(const ProductState &S);
+  /// The successors of state Q as a [begin, end) range of SuccArena,
+  /// computed on first use.
+  std::pair<uint32_t, uint32_t> successorsOf(uint32_t Q);
   size_t minimizeProof();
 
   /// External cancellation (the portfolio race), as opposed to running out
@@ -245,6 +266,13 @@ private:
   bool stopRequested() const {
     return (Config.Cancel && Config.Cancel->stopRequested()) ||
            OwnDeadline.deadlineExpired();
+  }
+  /// The verdict of a run that ends undecided: a stop request interrupts
+  /// the solvers too, so an Unknown seen while one is pending is the stop's.
+  Verdict undecidedVerdict() const {
+    if (!stopRequested())
+      return Verdict::Unknown;
+    return cancelRequested() ? Verdict::Cancelled : Verdict::Timeout;
   }
 
   const prog::ConcurrentProgram &P;
@@ -268,32 +296,56 @@ private:
   uint64_t CachedRounds = 0;
 
   /// Per-verifier interners. They persist across refinement rounds (and
-  /// through proof minimization), so sleep sets, product states, and
-  /// predicate sets recurring between rounds hash straight to their old
-  /// ids — and the keys of the cross-round useless cache stay valid. Never
-  /// shared across portfolio workers: each worker's verifier owns its
-  /// tables, keeping the hot path lock-free (docs/RUNTIME.md).
+  /// through proof minimization), so sleep sets and product states
+  /// recurring between rounds hash straight to their old ids — and the
+  /// keys of the cross-round useless table stay valid (so do the proof
+  /// automaton's set ids). Never shared across portfolio workers: each
+  /// worker's verifier owns its tables, keeping the hot path lock-free
+  /// (docs/RUNTIME.md).
   SleepSetInterner SleepIntern;
   InternTable<ProductState> StateIntern;
-  InternTable<PredSet> PhiIntern;
 
-  /// Cross-round useless-state cache: (Q, Ctx, Sleep) -> interned ids of
-  /// assertion sets under which the node was counterexample-free.
-  struct UselessKey {
-    uint32_t Q;
-    PreferenceOrder::Context Ctx;
-    SleepSetId Sleep;
-    bool operator==(const UselessKey &) const = default;
+  /// Per product-state id: the error and all-exit flags, and the
+  /// successors, memoized as a range of SuccArena (letter, successor id)
+  /// pairs in increasing letter order once the state is first expanded.
+  struct StateInfo {
+    uint32_t SuccBegin = 0;
+    uint32_t SuccEnd = 0;
+    bool Expanded = false;
+    bool Error = false;
+    bool AllExit = false;
   };
-  struct UselessKeyHash {
-    size_t operator()(const UselessKey &K) const {
-      return static_cast<size_t>(
-          hashCombine(hashCombine(hashMix(K.Q), K.Ctx), K.Sleep));
+  std::vector<StateInfo> States;
+  std::vector<std::pair<Letter, uint32_t>> SuccArena;
+
+  /// Cross-round useless-state table: (Q, Ctx, Sleep) interned to an
+  /// entry id; UselessPhis[id] holds up to MaxUselessEntriesPerNode ids of
+  /// assertion sets under which the node was counterexample-free (none
+  /// yet for a node pushed but not marked). Monotonicity of proof-
+  /// sensitive commutativity (Sec. 7.2) keeps the entries valid as the
+  /// proof grows; proof minimization sets the table aside.
+  struct UselessKey {
+    uint32_t Q = 0;
+    SleepSetId Sleep = SleepSetInterner::EmptySetId;
+    PreferenceOrder::Context Ctx = PreferenceOrder::InitialContext;
+    bool operator==(const UselessKey &) const = default;
+    uint64_t hash() const {
+      return hashCombine(hashCombine(hashMix(Q), Ctx), Sleep);
     }
   };
-  std::unordered_map<UselessKey, std::vector<uint32_t>, UselessKeyHash>
-      UselessCache;
-  static constexpr size_t MaxUselessEntriesPerNode = 8;
+  struct UselessPhis {
+    uint32_t Count = 0;
+    SetId Phis[MaxUselessEntriesPerNode];
+  };
+  struct UselessTable {
+    InternTable<UselessKey> Keys;
+    std::vector<UselessPhis> Entries;
+  } Useless;
+
+  /// Hot-path work counters, exported once by run() (docs/PERF.md §4).
+  uint64_t SleepPruned = 0;
+  uint64_t PersistentPruned = 0;
+  uint64_t UselessHits = 0;
 
   /// Per-round DFS state, kept as members so refinement rounds reuse the
   /// allocations: the visited index (hashed, interning Keys to dense ids
@@ -301,14 +353,6 @@ private:
   /// vectors recycled on frame pop.
   InternTable<Key> Visited;
   std::vector<NodeStatus> VisitStatus;
-  struct Frame {
-    Key Node;
-    Letter InLetter = 0;
-    uint32_t VisitedId = 0;
-    std::vector<std::pair<Letter, Key>> Succs;
-    size_t NextIndex = 0;
-    bool TouchedUnknown = false;
-  };
   std::vector<Frame> Stack;
   std::vector<std::vector<std::pair<Letter, Key>>> SuccPool;
 
@@ -317,92 +361,102 @@ private:
   Statistics Stats;
 };
 
-bool Verifier::Impl::isKnownUseless(const Key &Node) {
-  if (!Config.UselessStateCache)
-    return false;
-  auto It = UselessCache.find({Node.Q, Node.Ctx, Node.Sleep});
-  if (It == UselessCache.end())
-    return false;
-  const PredSet &Phi = PhiIntern[Node.Phi];
-  for (uint32_t Recorded : It->second)
-    if (Recorded == Node.Phi || isSubset(PhiIntern[Recorded], Phi)) {
-      Stats.add("useless_cache_hits");
-      return true;
+uint32_t Verifier::Impl::internState(const ProductState &S) {
+  bool Inserted = false;
+  uint32_t Id = StateIntern.intern(S, &Inserted);
+  if (Inserted) {
+    StateInfo Info;
+    Info.Error = P.isErrorState(S);
+    Info.AllExit = P.isAllExitState(S);
+    States.push_back(Info);
+  }
+  return Id;
+}
+
+std::pair<uint32_t, uint32_t> Verifier::Impl::successorsOf(uint32_t Q) {
+  if (!States[Q].Expanded) {
+    // Copies the state: interning a successor may move the arena.
+    auto Successors = P.successors(StateIntern[Q]); // empty at errors
+    uint32_t Begin = static_cast<uint32_t>(SuccArena.size());
+    for (const auto &[L, NextQ] : Successors) {
+      uint32_t NextId = internState(NextQ);
+      SuccArena.emplace_back(L, NextId);
     }
+    StateInfo &Info = States[Q];
+    Info.SuccBegin = Begin;
+    Info.SuccEnd = static_cast<uint32_t>(SuccArena.size());
+    Info.Expanded = true;
+  }
+  return {States[Q].SuccBegin, States[Q].SuccEnd};
+}
+
+bool Verifier::Impl::uselessCovers(uint32_t UselessId, SetId Phi) {
+  const UselessPhis &E = Useless.Entries[UselessId];
+  const PredSet &Set = Proof.set(Phi);
+  for (uint32_t I = 0; I < E.Count; ++I)
+    if (E.Phis[I] == Phi || isSubset(Proof.set(E.Phis[I]), Set))
+      return true;
   return false;
 }
 
-void Verifier::Impl::markUseless(const Key &Node) {
-  if (!Config.UselessStateCache)
-    return;
-  auto &Entries = UselessCache[{Node.Q, Node.Ctx, Node.Sleep}];
-  const PredSet &Phi = PhiIntern[Node.Phi];
-  for (uint32_t Recorded : Entries)
-    if (Recorded == Node.Phi || isSubset(PhiIntern[Recorded], Phi))
-      return; // already subsumed
-  if (Entries.size() < MaxUselessEntriesPerNode)
-    Entries.push_back(Node.Phi);
+void Verifier::Impl::markUseless(const Frame &F) {
+  // Re-checked: the entry may have grown since the push (a descendant with
+  // the same (Q, Ctx, Sleep) under another assertion set).
+  if (uselessCovers(F.UselessId, F.Node.Phi))
+    return; // already subsumed
+  UselessPhis &E = Useless.Entries[F.UselessId];
+  if (E.Count < MaxUselessEntriesPerNode)
+    E.Phis[E.Count++] = F.Node.Phi;
 }
 
 void Verifier::Impl::expand(const Key &Node,
                             std::vector<std::pair<Letter, Key>> &Out) {
   Out.clear();
-  if (Proof.isFalse(PhiIntern[Node.Phi]))
+  if (Proof.isFalse(Node.Phi))
     return; // covered by the proof
 
-  // References into the intern arenas are refetched after any intern()
-  // below: interning a successor component may grow an arena and move it.
-  auto Successors = P.successors(StateIntern[Node.Q]); // empty at errors
-  if (Successors.empty())
+  auto [Begin, End] = successorsOf(Node.Q);
+  if (Begin == End)
     return;
 
-  const Bitset *Membrane = nullptr;
+  SleepSetId Membrane = 0;
   if (Persistent)
-    Membrane = &Persistent->compute(StateIntern[Node.Q], Node.Ctx);
+    Membrane = Persistent->compute(Node.Q, StateIntern[Node.Q], Node.Ctx);
 
-  std::vector<Letter> Enabled;
-  Enabled.reserve(Successors.size());
-  for (const auto &[L, NextQ] : Successors) {
-    (void)NextQ;
-    Enabled.push_back(L);
-  }
+  Term Phi = Config.ProofSensitive ? Proof.conjunction(Node.Phi) : nullptr;
+  uint32_t CommutCtx = Config.UseSleepSets ? Commut.contextId(Phi) : 0;
 
-  Term Phi =
-      Config.ProofSensitive ? Proof.conjunction(PhiIntern[Node.Phi]) : nullptr;
-
-  Out.reserve(Successors.size());
-  for (auto &[L, NextQ] : Successors) {
+  Out.reserve(End - Begin);
+  for (uint32_t I = Begin; I < End; ++I) {
+    auto [L, NextQ] = SuccArena[I];
     if (Config.UseSleepSets && SleepIntern.test(Node.Sleep, L)) {
-      Stats.add("sleep_pruned");
+      ++SleepPruned;
       continue;
     }
-    if (Membrane && !Membrane->test(L)) {
-      Stats.add("persistent_pruned");
+    if (Persistent && !Persistent->membranes().test(Membrane, L)) {
+      ++PersistentPruned;
       continue;
     }
     Key Next;
-    Next.Q = StateIntern.intern(NextQ);
+    Next.Q = NextQ;
     Next.Ctx = Config.Order ? Config.Order->advance(Node.Ctx, L)
                             : PreferenceOrder::InitialContext;
     Next.Sleep = SleepSetInterner::EmptySetId;
     if (Config.UseSleepSets) {
+      // Def. 5.1 with proof-sensitive commutativity: the candidates are the
+      // enabled letters other than L that sleep or are preferred over L;
+      // the successor sleep set keeps those commuting with L under Phi.
       SleepIntern.scratchClear();
-      for (Letter B : Enabled) {
-        if (B == L)
-          continue;
-        bool Candidate = SleepIntern.test(Node.Sleep, B) ||
-                         Config.Order->less(Node.Ctx, B, L);
-        if (!Candidate)
-          continue;
-        bool Commutes = Config.ProofSensitive
-                            ? Commut.commutesUnder(Phi, L, B)
-                            : Commut.commutes(L, B);
-        if (Commutes)
+      for (uint32_t J = Begin; J < End; ++J) {
+        Letter B = SuccArena[J].first;
+        if (B != L && (SleepIntern.test(Node.Sleep, B) ||
+                       Config.Order->less(Node.Ctx, B, L)))
           SleepIntern.scratchSet(B);
       }
+      Commut.keepCommuting(CommutCtx, L, SleepIntern.scratchWords());
       Next.Sleep = SleepIntern.internScratch();
     }
-    Next.Phi = PhiIntern.intern(Proof.step(PhiIntern[Node.Phi], L));
+    Next.Phi = Proof.step(Node.Phi, L);
     Out.emplace_back(L, Next);
   }
 
@@ -438,25 +492,34 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
   };
 
   Key Init;
-  Init.Q = StateIntern.intern(P.initialProductState());
+  Init.Q = internState(P.initialProductState());
   Init.Ctx = PreferenceOrder::InitialContext;
   Init.Sleep = SleepSetInterner::EmptySetId;
-  Init.Phi = PhiIntern.intern(Proof.initialSet());
+  Init.Phi = Proof.initialSet();
 
   auto Push = [&](const Key &Node, Letter InLetter) -> bool {
     // Returns false if the node produced a counterexample.
-    if (P.isErrorState(StateIntern[Node.Q]) &&
-        !Proof.isFalse(PhiIntern[Node.Phi]))
+    const StateInfo &Info = States[Node.Q];
+    if (Info.Error && !Proof.isFalse(Node.Phi))
       return false;
-    if (CheckPost && P.isAllExitState(StateIntern[Node.Q]) &&
-        !Proof.isFalse(PhiIntern[Node.Phi]) &&
-        !QE.implies(Proof.conjunction(PhiIntern[Node.Phi]), Post)) {
+    if (CheckPost && Info.AllExit && !Proof.isFalse(Node.Phi) &&
+        !QE.implies(Proof.conjunction(Node.Phi), Post)) {
       ExitCtex = true;
       return false;
     }
-    if (isKnownUseless(Node)) {
-      // Counts as a useless (done) node: nothing to propagate.
-      return true;
+    // One useless-table probe per push; the frame keeps the entry id.
+    uint32_t UselessId = 0;
+    if (Config.UselessStateCache) {
+      bool NewKey = false;
+      UselessId =
+          Useless.Keys.intern({Node.Q, Node.Sleep, Node.Ctx}, &NewKey);
+      if (NewKey)
+        Useless.Entries.emplace_back();
+      else if (uselessCovers(UselessId, Node.Phi)) {
+        // Counts as a useless (done) node: nothing to propagate.
+        ++UselessHits;
+        return true;
+      }
     }
     bool Inserted = false;
     uint32_t VId = Visited.intern(Node, &Inserted);
@@ -473,6 +536,7 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
     F.Node = Node;
     F.InLetter = InLetter;
     F.VisitedId = VId;
+    F.UselessId = UselessId;
     Stack.push_back(std::move(F));
     return true;
   };
@@ -506,11 +570,11 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
       continue;
     }
     // Pop.
-    bool Useless = !Top.TouchedUnknown;
+    bool Done = !Top.TouchedUnknown;
     VisitStatus[Top.VisitedId] =
-        Useless ? NodeStatus::DoneUseless : NodeStatus::DoneUnknown;
-    if (Useless)
-      markUseless(Top.Node);
+        Done ? NodeStatus::DoneUseless : NodeStatus::DoneUnknown;
+    if (Done && Config.UselessStateCache)
+      markUseless(Top);
     bool Propagate = Top.TouchedUnknown;
     SuccPool.push_back(std::move(Top.Succs));
     SuccPool.back().clear();
@@ -553,7 +617,7 @@ VerificationResult Verifier::Impl::run() {
       break;
     }
     if (Analysis.Status == TraceStatus::Unknown) {
-      Result.V = Verdict::Unknown;
+      Result.V = undecidedVerdict();
       break;
     }
 
@@ -589,7 +653,7 @@ VerificationResult Verifier::Impl::run() {
       AddChain(Analysis.WpChain);
     if (Proof.numPredicates() == PoolBefore) {
       // No progress: can only happen if a solver Unknown weakened coverage.
-      Result.V = Verdict::Unknown;
+      Result.V = undecidedVerdict();
       break;
     }
     Proof.invalidateCaches();
@@ -606,6 +670,14 @@ VerificationResult Verifier::Impl::run() {
       if (Proof.predicateEnabled(Id)) // full pool unless minimized
         Result.ProofAssertions.push_back(TM.str(Proof.predicate(Id)));
   Stats.add("rounds", Result.Rounds);
+  // Hot-path counters, exported once under their historical names; like
+  // every Statistics entry, a counter that never fired stays absent.
+  for (auto [Name, Value] : {std::pair{"sleep_pruned", SleepPruned},
+                             std::pair{"persistent_pruned", PersistentPruned},
+                             std::pair{"useless_cache_hits", UselessHits}})
+    if (Value != 0)
+      Stats.add(Name, static_cast<int64_t>(Value));
+  Commut.exportStatistics(Stats);
   if (HaveFingerprint) {
     if (WarmStarted && Result.V == Verdict::Correct &&
         CachedRounds > static_cast<uint64_t>(Result.Rounds))
@@ -627,10 +699,10 @@ VerificationResult Verifier::Impl::run() {
   // these merge additively through the portfolio statistics hub.
   Stats.add("intern_hits",
             static_cast<int64_t>(SleepIntern.hits() + StateIntern.hits() +
-                                 PhiIntern.hits()));
+                                 Proof.setInternHits()));
   Stats.add("intern_misses",
             static_cast<int64_t>(SleepIntern.misses() + StateIntern.misses() +
-                                 PhiIntern.misses()));
+                                 Proof.setInternMisses()));
   Stats.setMax("peak_interned_sets", static_cast<int64_t>(SleepIntern.size()));
   Stats.add("sleepset_intern_hits", static_cast<int64_t>(SleepIntern.hits()));
   Stats.add("sleepset_intern_misses",
@@ -688,8 +760,8 @@ size_t Verifier::Impl::minimizeProof() {
   // full pool (weaker pools may reach more states), so disable it here.
   bool SavedCacheFlag = Config.UselessStateCache;
   Config.UselessStateCache = false;
-  auto SavedCache = std::move(UselessCache);
-  UselessCache.clear();
+  UselessTable SavedTable = std::move(Useless);
+  Useless = {};
 
   std::vector<bool> Mask(Proof.numPredicates(), true);
   for (uint32_t Id = 1; Id < Proof.numPredicates(); ++Id) {
@@ -705,6 +777,6 @@ size_t Verifier::Impl::minimizeProof() {
   size_t Minimized = Proof.numEnabled();
 
   Config.UselessStateCache = SavedCacheFlag;
-  UselessCache = std::move(SavedCache);
+  Useless = std::move(SavedTable);
   return Minimized;
 }

@@ -12,35 +12,31 @@ using seqver::prog::SymbolicState;
 using seqver::smt::Term;
 using seqver::smt::TermManager;
 
-bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
+CommutativityChecker::Answer
+CommutativityChecker::decide(Term Phi, Letter A, Letter B) {
   const Action &ActA = P.action(A);
   const Action &ActB = P.action(B);
   // Statements of the same thread never commute (Sec. 4).
   if (ActA.ThreadId == ActB.ThreadId)
-    return false;
+    return Answer::Dependent;
   if (M == Mode::Full)
-    return true;
-  count("commut_queries");
-
-  // A literal `true` context is the unconditional query: canonicalize it
-  // to nullptr so both spellings share one cache (and one oracle) entry.
-  if (Phi && Phi->kind() == smt::TermKind::BoolConst && Phi->boolValue())
-    Phi = nullptr;
+    return Answer::Commutes;
+  count(Queries);
 
   // Syntactic sufficient condition is independent of Phi.
   if (!ActA.footprintConflictsWith(ActB)) {
-    count("commut_syntactic");
-    return true;
+    count(Syntactic);
+    return Answer::Commutes;
   }
   if (M == Mode::Syntactic)
-    return false;
+    return Answer::Dependent;
 
   Letter MinL = std::min(A, B), MaxL = std::max(A, B);
   auto Key = std::make_tuple(MinL, MaxL, Phi);
   auto It = Cache.find(Key);
   if (It != Cache.end()) {
-    count("commut_cache_hits");
-    return It->second;
+    count(CacheHits);
+    return It->second ? Answer::Commutes : Answer::Dependent;
   }
 
   // Second-level shared oracle (CommutOracle.h): a manager-independent
@@ -53,13 +49,13 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
     SKey = sharedKey(Phi, MinL, MaxL);
     switch (Shared->lookup(SKey)) {
     case OracleAnswer::Commutes:
-      count("commut_shared_hits");
+      count(SharedHits);
       Cache.emplace(Key, true);
-      return true;
+      return Answer::Commutes;
     case OracleAnswer::Dependent:
-      count("commut_shared_hits");
+      count(SharedHits);
       Cache.emplace(Key, false);
-      return false;
+      return Answer::Dependent;
     case OracleAnswer::Unknown:
       // Subsumption fallback: a pair proven to commute with *no* context
       // commutes under every Phi (unsatisfiable obligations stay
@@ -69,12 +65,12 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
       // context.
       if (Phi && Shared->lookup(sharedKey(nullptr, MinL, MaxL)) ==
                      OracleAnswer::Commutes) {
-        count("commut_shared_hits");
-        count("commut_shared_subsumed");
+        count(SharedHits);
+        count(SharedSubsumed);
         Cache.emplace(Key, true);
-        return true;
+        return Answer::Commutes;
       }
-      count("commut_shared_misses");
+      count(SharedMisses);
       break;
     }
   }
@@ -86,9 +82,9 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
     auto MemoIt = PairMemo.find({MinL, MaxL});
     if (MemoIt != PairMemo.end() &&
         MemoIt->second.CF == PairObligations::CtxFree::Commutes) {
-      count("commut_cache_hits");
+      count(CacheHits);
       Cache.emplace(Key, true);
-      return true;
+      return Answer::Commutes;
     }
   }
 
@@ -100,10 +96,10 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
   if (Static) {
     switch (Static->decide(Phi, A, B)) {
     case analysis::StaticTierVerdict::Interval:
-      count("commut_static");
+      count(StaticProofs);
       Cache.emplace(Key, true);
       publishShared(SKey, true);
-      return true;
+      return Answer::Commutes;
     case analysis::StaticTierVerdict::Octagon:
       // Octagon and Karr proofs conjoin *location* invariants of the two
       // letters' source locations — facts about where the letters sit in
@@ -111,13 +107,13 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
       // pairs with identical action text at different locations may get
       // different invariant-conditional answers, so these proofs stay in
       // the private (letter-keyed) cache and are never published.
-      count("commut_octagon");
+      count(OctagonProofs);
       Cache.emplace(Key, true);
-      return true;
+      return Answer::Commutes;
     case analysis::StaticTierVerdict::Karr:
-      count("commut_karr");
+      count(KarrProofs);
       Cache.emplace(Key, true);
-      return true;
+      return Answer::Commutes;
     case analysis::StaticTierVerdict::Unknown:
       break;
     }
@@ -127,7 +123,7 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
     // Private-cache only — "undecided here" is not a fact about the query,
     // so it must not reach checkers that do have a solver.
     Cache.emplace(Key, false);
-    return false;
+    return Answer::Dependent;
   }
 
   // Cancellation/deadline poll before handing the query to the solver: a
@@ -135,18 +131,18 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
   // reduction) and skips the private cache *and* the shared oracle, so a
   // live run re-decides the pair instead of inheriting a panic answer.
   if (stopRequested()) {
-    count("commut_cancelled");
-    return false;
+    count(CancelledQueries);
+    return Answer::Cancelled;
   }
 
-  count("commut_semantic");
+  count(SemanticQueries);
   bool Result = semanticCheck(Phi, MinL, MaxL);
   // A negative computed while a cancellation raced in may reflect an
   // interrupted solver, not the query: drop it exactly like the pre-check
   // above — no private cache, no publication — so a live run re-decides.
   if (!Result && stopRequested()) {
-    count("commut_cancelled");
-    return false;
+    count(CancelledQueries);
+    return Answer::Cancelled;
   }
   Cache.emplace(Key, Result);
   // A negative may be a solver give-up rather than a disproof — still
@@ -163,7 +159,64 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
                     Obl.CF == PairObligations::CtxFree::Commutes);
     }
   }
-  return Result;
+  return Result ? Answer::Commutes : Answer::Dependent;
+}
+
+uint32_t CommutativityChecker::contextId(Term Phi) {
+  Phi = canonicalContext(Phi);
+  bool Inserted = false;
+  uint32_t Id = Contexts.intern(reinterpret_cast<uintptr_t>(Phi), &Inserted);
+  if (Inserted) {
+    ContextTerms.push_back(Phi);
+    RowOf.resize(ContextTerms.size() * P.numLetters(), 0);
+  }
+  return Id;
+}
+
+void CommutativityChecker::keepCommuting(uint32_t Ctx, Letter A,
+                                         uint64_t *Words) {
+  const size_t W = rowWords();
+  uint32_t &Row = RowOf[static_cast<size_t>(Ctx) * P.numLetters() + A];
+  if (Row == 0) {
+    Row = static_cast<uint32_t>(RowBits.size() / (2 * W)) + 1;
+    RowBits.resize(RowBits.size() + 2 * W, 0);
+  }
+  uint64_t *Decided = RowBits.data() + (Row - 1) * 2 * W;
+  uint64_t *Commuting = Decided + W;
+  for (size_t I = 0; I < W; ++I) {
+    uint64_t Open = Words[I] & ~Decided[I];
+    while (Open != 0) {
+      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Open));
+      Open &= Open - 1;
+      uint64_t Mask = uint64_t(1) << Bit;
+      switch (decide(ContextTerms[Ctx], A, static_cast<Letter>(I * 64 + Bit))) {
+      case Answer::Commutes:
+        Commuting[I] |= Mask;
+        Decided[I] |= Mask;
+        break;
+      case Answer::Dependent:
+        Decided[I] |= Mask;
+        break;
+      case Answer::Cancelled:
+        break;
+      }
+    }
+    Words[I] &= Commuting[I];
+  }
+}
+
+void CommutativityChecker::exportStatistics(Statistics &Out) const {
+  static constexpr const char *Names[NumCounters] = {
+      "commut_queries",         "commut_syntactic",
+      "commut_cache_hits",      "commut_shared_hits",
+      "commut_shared_subsumed", "commut_shared_misses",
+      "commut_shared_stores",   "commut_static",
+      "commut_octagon",         "commut_karr",
+      "commut_cancelled",       "commut_semantic",
+      "commut_sym_memo_hits"};
+  for (size_t C = 0; C < NumCounters; ++C)
+    if (Counts[C] != 0)
+      Out.add(Names[C], static_cast<int64_t>(Counts[C]));
 }
 
 persist::Fingerprint CommutativityChecker::sharedKey(Term Phi, Letter MinL,
@@ -191,11 +244,10 @@ void CommutativityChecker::publishShared(const persist::Fingerprint &Key,
   if (!Shared)
     return;
   Shared->publish(Key, Commutes);
-  count("commut_shared_stores");
+  count(SharedStores);
 }
 
 bool CommutativityChecker::semanticCheck(Term Phi, Letter MinL, Letter MaxL) {
-  ++SemanticChecks;
   TermManager &TM = QE.termManager();
 
   // The proof obligations depend only on the pair, not on Phi: build the
@@ -237,7 +289,7 @@ bool CommutativityChecker::semanticCheck(Term Phi, Letter MinL, Letter MaxL) {
             TM.mkNot(TM.mkIff(AB.boolValue(Var), BA.boolValue(Var))));
     }
   } else {
-    count("commut_sym_memo_hits");
+    count(SymMemoHits);
   }
 
   // Context-free screen, once per pair: discharge the obligations with no

@@ -30,6 +30,7 @@
 #include "reduction/CommutOracle.h"
 #include "runtime/Cancellation.h"
 #include "smt/Solver.h"
+#include "support/InternTable.h"
 #include "support/Statistics.h"
 
 #include <cstdint>
@@ -58,10 +59,11 @@ public:
       Static = std::make_unique<analysis::StaticCommutativity>(P);
   }
 
-  /// Routes per-tier counters (commut_queries, commut_syntactic,
-  /// commut_static, commut_semantic, commut_cache_hits) into Sink; the
-  /// counters self-register on first use. Null disables reporting.
-  void setStatistics(Statistics *Sink) { Stats = Sink; }
+  /// Adds the per-tier counters (commut_queries, commut_syntactic,
+  /// commut_static, commut_semantic, commut_cache_hits, ...) to Out under
+  /// their names, skipping zeros. The counters are plain members bumped on
+  /// every query; owners export them once, when they report.
+  void exportStatistics(Statistics &Out) const;
 
   /// Adds a cancellation token to poll before every semantic (SMT) query.
   /// When any watched token requests a stop, undecided queries short-
@@ -120,10 +122,26 @@ public:
   /// Conditional commutativity a ~_phi b (Def. 7.3); Phi == nullptr means
   /// phi = true. Monotone: if a ~_phi b then a ~_psi b for stronger psi
   /// (guaranteed by the semantics, not just the cache).
-  bool commutesUnder(smt::Term Phi, automata::Letter A, automata::Letter B);
+  bool commutesUnder(smt::Term Phi, automata::Letter A, automata::Letter B) {
+    return decide(canonicalContext(Phi), A, B) == Answer::Commutes;
+  }
+
+  /// Row memo for sleep-set successors. A context id names one context
+  /// term (null and literal `true` share an id); ids are dense and stable
+  /// for the checker's lifetime.
+  uint32_t contextId(smt::Term Phi);
+  /// Clears from the letter set Words (numLetters() bits, 64 per word) every
+  /// letter B that does not commute with A under context Ctx, leaving
+  /// Words = Words /\ { B | A ~_phi B }. Per (Ctx, A) the checker keeps two
+  /// letter bitsets, decided and commutes; only letters of Words not yet
+  /// decided reach commutesUnder, in increasing letter order. Answers a
+  /// cancellation cut short are not recorded, so a later call re-decides
+  /// them. The rows live as long as the checker: an answer is a function of
+  /// the (context term, pair) key, whatever round asks.
+  void keepCommuting(uint32_t Ctx, automata::Letter A, uint64_t *Words);
 
   Mode mode() const { return M; }
-  uint64_t numSemanticChecks() const { return SemanticChecks; }
+  uint64_t numSemanticChecks() const { return Counts[SemanticQueries]; }
   /// Queries the static tier proved commuting (and the solver never saw).
   uint64_t numStaticProofs() const {
     return Static ? Static->numProofs() : 0;
@@ -133,6 +151,16 @@ public:
   size_t numCachedQueries() const { return Cache.size(); }
 
 private:
+  /// A query's outcome; Cancelled reads as "dependent" but is never cached.
+  enum class Answer : uint8_t { Dependent, Commutes, Cancelled };
+  /// commutesUnder with Phi already canonicalized.
+  Answer decide(smt::Term Phi, automata::Letter A, automata::Letter B);
+  /// Literal `true` is the unconditional context: null.
+  static smt::Term canonicalContext(smt::Term Phi) {
+    if (Phi && Phi->kind() == smt::TermKind::BoolConst && Phi->boolValue())
+      return nullptr;
+    return Phi;
+  }
   bool semanticCheck(smt::Term Phi, automata::Letter MinL,
                      automata::Letter MaxL);
   /// Runs the unsat checks of Obl strengthened by Context; true iff every
@@ -148,10 +176,23 @@ private:
                                  automata::Letter MaxL);
   /// Publishes a proven answer to the shared oracle (no-op when detached).
   void publishShared(const persist::Fingerprint &Key, bool Commutes);
-  void count(const char *Name) {
-    if (Stats)
-      Stats->add(Name);
-  }
+  enum Counter : uint8_t {
+    Queries,
+    Syntactic,
+    CacheHits,
+    SharedHits,
+    SharedSubsumed,
+    SharedMisses,
+    SharedStores,
+    StaticProofs,
+    OctagonProofs,
+    KarrProofs,
+    CancelledQueries,
+    SemanticQueries,
+    SymMemoHits,
+    NumCounters
+  };
+  void count(Counter C) { ++Counts[C]; }
   bool stopRequested() const {
     for (const runtime::CancellationToken *T : Watched)
       if (T->stopRequested())
@@ -163,7 +204,7 @@ private:
   smt::QueryEngine &QE;
   Mode M;
   std::unique_ptr<analysis::StaticCommutativity> Static;
-  Statistics *Stats = nullptr;
+  uint64_t Counts[NumCounters] = {};
   CommutOracle *Shared = nullptr;
   std::vector<const runtime::CancellationToken *> Watched;
   /// Cache key: (min letter, max letter, condition or nullptr). A literal
@@ -202,8 +243,18 @@ private:
   };
   std::map<std::pair<automata::Letter, automata::Letter>, PairObligations>
       PairMemo;
-  uint64_t SemanticChecks = 0;
   bool Incremental = false;
+
+  /// Row memo (keepCommuting). Contexts interns context terms to ids, with
+  /// ContextTerms the inverse; RowOf[Ctx * numLetters + A] is the row's
+  /// index + 1 (0 = no row yet); row R is 2 * rowWords() words of RowBits,
+  /// the decided bitset followed by the commutes bitset. All empty until
+  /// the first contextId().
+  size_t rowWords() const { return (P.numLetters() + 63) / 64; }
+  InternTable<uintptr_t> Contexts;
+  std::vector<smt::Term> ContextTerms;
+  std::vector<uint32_t> RowOf;
+  std::vector<uint64_t> RowBits;
 };
 
 } // namespace red

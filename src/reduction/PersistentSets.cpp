@@ -18,7 +18,8 @@ PersistentSetComputer::PersistentSetComputer(
     const prog::ConcurrentProgram &P, CommutativityChecker &Commut,
     const PreferenceOrder *Order,
     const analysis::ConflictRelation *StaticIndep)
-    : P(P), Commut(Commut), Order(Order), StaticIndep(StaticIndep) {
+    : P(P), Commut(Commut), Order(Order), StaticIndep(StaticIndep),
+      Membranes(P.numLetters()) {
   HasAssert.resize(static_cast<size_t>(P.numThreads()));
   for (int T = 0; T < P.numThreads(); ++T)
     HasAssert[static_cast<size_t>(T)] = P.thread(T).containsAssert();
@@ -104,17 +105,15 @@ bool PersistentSetComputer::locationsConflict(int ThreadI, Location LocI,
                       .test(LocJ);
 }
 
-const Bitset &
-PersistentSetComputer::compute(const ProductState &S,
-                               PreferenceOrder::Context Ctx) {
-  PreferenceOrder::Context Key =
-      (Order && Order->isPositional()) ? Ctx : PreferenceOrder::InitialContext;
-  auto CacheKey = std::make_pair(S, Key);
-  auto It = Cache.find(CacheKey);
-  if (It != Cache.end()) {
-    ++CacheHits;
-    return It->second;
-  }
+SleepSetId PersistentSetComputer::compute(uint32_t QId, const ProductState &S,
+                                          PreferenceOrder::Context Ctx) {
+  MemoKey Key{QId, (Order && Order->isPositional())
+                       ? Ctx
+                       : PreferenceOrder::InitialContext};
+  bool Inserted = false;
+  uint32_t KeyId = Memo.intern(Key, &Inserted);
+  if (!Inserted)
+    return MembraneOf[KeyId];
 
   int N = P.numThreads();
   std::vector<std::vector<Letter>> Enabled(static_cast<size_t>(N));
@@ -244,13 +243,11 @@ PersistentSetComputer::compute(const ProductState &S,
       Select(V);
   }
 
-  Bitset M(P.numLetters());
+  Membranes.scratchClear();
   for (int T = 0; T < N; ++T)
     if (Selected[static_cast<size_t>(T)])
       for (Letter L : Enabled[static_cast<size_t>(T)])
-        M.set(L);
-
-  auto [InsertedIt, DidInsert] = Cache.emplace(CacheKey, std::move(M));
-  (void)DidInsert;
-  return InsertedIt->second;
+        Membranes.scratchSet(L);
+  MembraneOf.push_back(Membranes.internScratch());
+  return MembraneOf.back();
 }

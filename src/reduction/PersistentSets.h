@@ -24,13 +24,12 @@
 #include "support/Bitset.h"
 #include "support/InternTable.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace seqver {
 namespace red {
 
-/// Per-program computer with caching by (product state, order context).
+/// Per-program computer with caching by (state id, order context).
 class PersistentSetComputer {
 public:
   /// Order may be null: then no compatibility edges are added (pure
@@ -45,18 +44,21 @@ public:
                         const analysis::ConflictRelation *StaticIndep =
                             nullptr);
 
-  /// The weakly persistent membrane for state S under order context Ctx, as
-  /// a bitset over letters.
-  const Bitset &compute(const prog::ProductState &S,
-                        PreferenceOrder::Context Ctx);
+  /// The weakly persistent membrane for state S under order context Ctx,
+  /// as an interned letter set (test it through membranes()). QId is the
+  /// caller's dense id of S — the same id must always name the same state —
+  /// and keys the memo together with Ctx (InitialContext for non-positional
+  /// orders, which ignore it).
+  SleepSetId compute(uint32_t QId, const prog::ProductState &S,
+                     PreferenceOrder::Context Ctx);
+  /// The interned membranes; ids are stable for the computer's lifetime.
+  const SleepSetInterner &membranes() const { return Membranes; }
 
   /// Location-level conflict relation  l_i ~~> l_j  (Sec. 7.1): some action
   /// enabled at l_i does not commute with some action reachable from l_j in
   /// thread j. Exposed for tests.
   bool locationsConflict(int ThreadI, prog::Location LocI, int ThreadJ,
                          prog::Location LocJ) const;
-
-  uint64_t numCacheHits() const { return CacheHits; }
 
 private:
   void precomputeConflicts();
@@ -72,22 +74,17 @@ private:
   /// Threads containing assert statements (error locations).
   std::vector<bool> HasAssert;
 
-  /// (product state, order context) -> membrane, hashed: the computer is
-  /// consulted once per DFS expansion, so the pre-change ordered-map lookup
-  /// (O(log n) location-vector compares per probe) was hot-path cost.
-  /// unordered_map keeps references to values stable across inserts, which
-  /// compute()'s by-reference return relies on.
-  struct CacheKeyHash {
-    size_t operator()(const std::pair<prog::ProductState,
-                                      PreferenceOrder::Context> &K) const {
-      return static_cast<size_t>(
-          hashCombine(DefaultInternHash{}(K.first), K.second));
-    }
+  /// Memo: (state id, context) interned to a dense key id; MembraneOf maps
+  /// a key id to its membrane. Each distinct membrane is stored once.
+  struct MemoKey {
+    uint32_t Q = 0;
+    PreferenceOrder::Context Ctx = PreferenceOrder::InitialContext;
+    bool operator==(const MemoKey &) const = default;
+    uint64_t hash() const { return hashCombine(hashMix(Q), Ctx); }
   };
-  std::unordered_map<std::pair<prog::ProductState, PreferenceOrder::Context>,
-                     Bitset, CacheKeyHash>
-      Cache;
-  uint64_t CacheHits = 0;
+  InternTable<MemoKey> Memo;
+  std::vector<SleepSetId> MembraneOf;
+  SleepSetInterner Membranes;
 };
 
 } // namespace red

@@ -227,9 +227,9 @@ struct ProgramReductionAutomaton {
       return Out;
 
     // pi_S(q, S) = pi(q) \ S: membership filter below.
-    const Bitset *Membrane = nullptr;
+    SleepSetId Membrane = 0;
     if (Persistent)
-      Membrane = &Persistent->compute(Products[St.QId], St.Ctx);
+      Membrane = Persistent->compute(St.QId, Products[St.QId], St.Ctx);
 
     Enabled.clear();
     for (const auto &[L, Next] : Successors) {
@@ -241,7 +241,7 @@ struct ProgramReductionAutomaton {
     for (auto &[L, Next] : Successors) {
       if (Sleeps.test(St.Sleep, L))
         continue;
-      if (Membrane && !Membrane->test(L))
+      if (Persistent && !Persistent->membranes().test(Membrane, L))
         continue;
       SleepSetId NextSleep = SleepSetInterner::EmptySetId;
       if (Config.UseSleepSets) {
@@ -270,6 +270,8 @@ struct LegacyProgramReductionAutomaton {
   CommutativityChecker &Commut;
   const ReductionConfig &Config;
   PersistentSetComputer *Persistent; // null if disabled
+  /// Names product states for the membrane memo, which is keyed on ids.
+  InternTable<prog::ProductState> MembraneIds = {};
 
   StateType initialState() {
     return {P.initialProductState(), Bitset(P.numLetters()),
@@ -287,9 +289,9 @@ struct LegacyProgramReductionAutomaton {
     if (Successors.empty())
       return Out;
 
-    const Bitset *Membrane = nullptr;
+    SleepSetId Membrane = 0;
     if (Persistent)
-      Membrane = &Persistent->compute(Q, Ctx);
+      Membrane = Persistent->compute(MembraneIds.intern(Q), Q, Ctx);
 
     std::vector<Letter> Enabled;
     Enabled.reserve(Successors.size());
@@ -301,7 +303,7 @@ struct LegacyProgramReductionAutomaton {
     for (const auto &[L, Next] : Successors) {
       if (Sleep.test(L))
         continue;
-      if (Membrane && !Membrane->test(L))
+      if (Persistent && !Persistent->membranes().test(Membrane, L))
         continue;
       Bitset NextSleep(P.numLetters());
       if (Config.UseSleepSets) {

@@ -97,7 +97,8 @@ template <typename T, typename Hasher = DefaultInternHash> class InternTable {
 public:
   static constexpr uint32_t NotFound = UINT32_MAX;
 
-  InternTable() { rehash(InitialSlots); }
+  /// Allocates nothing until the first intern() or reserve().
+  InternTable() = default;
 
   /// Pre-sizes arena and index for about `Count` distinct values.
   void reserve(size_t Count) {
@@ -113,6 +114,8 @@ public:
   /// Interns Value: returns the existing id or assigns the next dense one.
   /// Inserted (when non-null) reports whether a new id was allocated.
   uint32_t intern(const T &Value, bool *Inserted = nullptr) {
+    if (Slots.empty())
+      rehash(InitialSlots);
     uint64_t H = Hash(Value);
     size_t Slot = findSlot(H, Value);
     if (Slots[Slot] != Empty) {
@@ -135,6 +138,8 @@ public:
 
   /// Lookup without insertion; NotFound if absent.
   uint32_t lookup(const T &Value) const {
+    if (Slots.empty())
+      return NotFound;
     uint64_t H = Hash(Value);
     size_t Slot = findSlot(H, Value);
     return Slots[Slot] == Empty ? NotFound : Slots[Slot] - 1;
@@ -264,6 +269,9 @@ public:
     assert(Letter < Letters && "letter out of range");
     Scratch[Letter / 64] |= uint64_t(1) << (Letter % 64);
   }
+  /// The scratch buffer's words, for word-wise edits between scratchClear()
+  /// and internScratch().
+  uint64_t *scratchWords() { return Scratch.data(); }
   /// Loads an existing set into the scratch buffer (e.g. to extend it).
   void scratchAssign(SleepSetId Id) {
     const uint64_t *W = wordsOf(Id);

@@ -7,10 +7,10 @@
 /// uniform.
 ///
 /// Counters register lazily: the first add()/setMax() of a name creates it.
-/// Components that want to report counters take a `Statistics *` sink and
-/// bump it at the event site (see CommutativityChecker::setStatistics)
-/// instead of having the verifier enumerate every component's counters
-/// centrally — adding a pass or tier never requires touching a registry.
+/// Off the hot paths, components bump a sink at the event site; hot-path
+/// counters are plain integers the owner exports once under their names
+/// (see CommutativityChecker::exportStatistics), so the per-event cost is
+/// an increment, not a string-keyed map lookup.
 /// Readers use get(), which returns 0 for never-bumped names, so absent
 /// and zero counters are indistinguishable by design.
 ///

@@ -964,10 +964,11 @@ TEST(ProofSeeding, NonInductiveSeedNeverEntersTheAutomaton) {
   // x <= 0 holds initially (x == 0) but is not inductive under x := x + 1:
   // the Hoare gate drops it from the post-state, so a bad seed can never
   // certify anything.
-  core::PredSet Init = Proof.initialSet();
+  core::SetId InitId = Proof.initialSet();
+  const core::PredSet &Init = Proof.set(InitId);
   uint32_t Id = Proof.addPredicate(LeZero); // dedup lookup
   EXPECT_TRUE(std::count(Init.begin(), Init.end(), Id));
-  const core::PredSet &Next = Proof.step(Init, 0);
+  const core::PredSet &Next = Proof.set(Proof.step(InitId, 0));
   EXPECT_FALSE(std::count(Next.begin(), Next.end(), Id));
 }
 
@@ -1025,10 +1026,11 @@ TEST(ProofSeeding, NonInductiveKarrSeedIsRejectedByTheHoareGate) {
   smt::Term X = TM.lookupVar("x");
   smt::Term EqZero = TM.mkEq(TM.sumOfVar(X), TM.sumOfConst(0));
   ASSERT_EQ(Proof.addSeedPredicates({EqZero}), 1u);
-  core::PredSet Init = Proof.initialSet();
+  core::SetId InitId = Proof.initialSet();
+  const core::PredSet &Init = Proof.set(InitId);
   uint32_t Id = Proof.addPredicate(EqZero);
   EXPECT_TRUE(std::count(Init.begin(), Init.end(), Id));
-  const core::PredSet &Next = Proof.step(Init, 0);
+  const core::PredSet &Next = Proof.set(Proof.step(InitId, 0));
   EXPECT_FALSE(std::count(Next.begin(), Next.end(), Id));
 }
 

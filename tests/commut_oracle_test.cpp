@@ -157,10 +157,10 @@ TEST(SharedOracleTest, SecondCheckerHitsWithoutSolver) {
   CommutativityChecker C2(*P2, QE2, CommutativityChecker::Mode::Semantic);
   C2.disableStaticTier();
   C2.setSharedOracle(&Oracle);
-  Statistics Stats;
-  C2.setStatistics(&Stats);
   EXPECT_TRUE(C2.commutes(0, 1));
   EXPECT_FALSE(C2.commutes(0, 2));
+  Statistics Stats;
+  C2.exportStatistics(Stats);
   EXPECT_EQ(Stats.get("commut_semantic"), 0)
       << "settled queries must not reach the solver again";
   EXPECT_EQ(Stats.get("commut_shared_hits"), 2);
@@ -189,10 +189,10 @@ TEST(SharedOracleTest, ContextFreePositiveSubsumesOtherContexts) {
   CommutativityChecker C2(*P2, QE2, CommutativityChecker::Mode::Semantic);
   C2.disableStaticTier();
   C2.setSharedOracle(&Oracle);
-  Statistics Stats;
-  C2.setStatistics(&Stats);
   smt::Term Phi2 = TM2.mkLe(TM2.sumOfVar(X2), TM2.sumOfConst(7));
   EXPECT_TRUE(C2.commutesUnder(Phi2, 0, 1));
+  Statistics Stats;
+  C2.exportStatistics(Stats);
   EXPECT_EQ(Stats.get("commut_semantic"), 0);
   EXPECT_EQ(Stats.get("commut_shared_subsumed"), 1)
       << "the context-free entry must answer the new context";
@@ -206,9 +206,6 @@ TEST(SharedOracleTest, CancelledAnswerNeverPublished) {
   C.disableStaticTier();
   CommutOracle Oracle;
   C.setSharedOracle(&Oracle);
-  Statistics Stats;
-  C.setStatistics(&Stats);
-
   runtime::CancellationToken Token;
   Token.requestCancel();
   C.watchCancellation(&Token);
@@ -216,9 +213,53 @@ TEST(SharedOracleTest, CancelledAnswerNeverPublished) {
   // The pre-solver poll answers "dependent" — a panic placeholder, not a
   // fact: it must reach neither the private cache nor the shared table.
   EXPECT_FALSE(C.commutes(0, 1));
+  Statistics Stats;
+  C.exportStatistics(Stats);
   EXPECT_EQ(Stats.get("commut_cancelled"), 1);
   EXPECT_EQ(Oracle.size(), 0u);
   EXPECT_EQ(C.numCachedQueries(), 0u);
+}
+
+TEST(CommutRowMemoTest, CancelledAnswerIsReDecidedAfterTheStopClears) {
+  // Letters: 0 = x := x + 1, 1 = x := x + 2 (commutes with 0 only
+  // semantically), 2 = x := 2 * x (dependent on 0).
+  smt::TermManager TM;
+  smt::QueryEngine QE{TM};
+  auto P = build(SemanticSource, TM);
+  ASSERT_LE(P->numLetters(), 64u);
+  CommutativityChecker C(*P, QE, CommutativityChecker::Mode::Semantic);
+  C.disableStaticTier();
+  runtime::CancellationToken Token;
+  C.watchCancellation(&Token);
+  smt::Term X = TM.lookupVar("x");
+  uint32_t Ctx =
+      C.contextId(TM.mkLe(TM.sumOfVar(X), TM.sumOfConst(5)));
+  const uint64_t Candidates = (uint64_t(1) << 1) | (uint64_t(1) << 2);
+
+  // A stop is pending: every undecided candidate reads as dependent.
+  Token.armDeadline(1e-9);
+  while (!Token.stopRequested()) {
+  }
+  uint64_t Words = Candidates;
+  C.keepCommuting(Ctx, 0, &Words);
+  EXPECT_EQ(Words, 0u);
+
+  // The stop clears: the cut-short answers never entered the row, so both
+  // pairs are decided now, and the commuting one survives.
+  Token.armDeadline(0);
+  Words = Candidates;
+  C.keepCommuting(Ctx, 0, &Words);
+  EXPECT_EQ(Words, uint64_t(1) << 1);
+  // Decided rows answer without another query.
+  Words = Candidates;
+  C.keepCommuting(Ctx, 0, &Words);
+  EXPECT_EQ(Words, uint64_t(1) << 1);
+
+  Statistics Stats;
+  C.exportStatistics(Stats);
+  EXPECT_EQ(Stats.get("commut_cancelled"), 2);
+  EXPECT_EQ(Stats.get("commut_semantic"), 2);
+  EXPECT_EQ(Stats.get("commut_queries"), 4);
 }
 
 TEST(SharedOracleTest, StaticModeUndecidedStaysPrivate) {

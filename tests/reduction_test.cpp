@@ -440,7 +440,8 @@ TEST_P(Algorithm1Theorem, OutputsWeaklyPersistentMembranes) {
 
   for (automata::State Q = 0; Q < Mat.Automaton.numStates(); ++Q) {
     const prog::ProductState &S = Mat.States[Q];
-    const Bitset &M = Persistent.compute(S, PreferenceOrder::InitialContext);
+    Bitset M = Persistent.membranes().toBitset(
+        Persistent.compute(Q, S, PreferenceOrder::InitialContext));
 
     // Acyclic: full language from Q is finite; enumerate generously.
     auto Accepted = automata::enumerateLanguage(

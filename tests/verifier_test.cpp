@@ -59,15 +59,17 @@ TEST_F(VerifierTest, ProofAutomatonBasics) {
   uint32_t GeTen = Proof.addPredicate(TM.mkGe(SX, TM.sumOfConst(10)));
 
   // Initially x == 0: x >= 0 holds, x >= 10 does not, false does not.
-  PredSet Init = Proof.initialSet();
+  SetId InitId = Proof.initialSet();
+  const PredSet &Init = Proof.set(InitId);
   EXPECT_TRUE(std::count(Init.begin(), Init.end(), GeZero));
   EXPECT_FALSE(std::count(Init.begin(), Init.end(), GeTen));
-  EXPECT_FALSE(Proof.isFalse(Init));
+  EXPECT_FALSE(Proof.isFalse(InitId));
 
   // {x >= 0} x := x+1 {x >= 0} holds.
-  const PredSet &Next = Proof.step({GeZero}, 0);
+  SetId NextId = Proof.step(Proof.internSet({GeZero}), 0);
+  const PredSet &Next = Proof.set(NextId);
   EXPECT_TRUE(std::count(Next.begin(), Next.end(), GeZero));
-  EXPECT_FALSE(Proof.isFalse(Next));
+  EXPECT_FALSE(Proof.isFalse(NextId));
 
   // Dedup: adding the same predicate returns the same id.
   EXPECT_EQ(Proof.addPredicate(TM.mkGe(SX, TM.sumOfConst(0))), GeZero);
@@ -78,7 +80,7 @@ TEST_F(VerifierTest, ProofStepFromFalseStaysFalse) {
   smt::QueryEngine QE(TM);
   prog::FreshVarSource Fresh(TM);
   ProofAutomaton Proof(TM, QE, Fresh, *P);
-  const PredSet &Next = Proof.step({ProofAutomaton::FalseId}, 0);
+  SetId Next = Proof.step(Proof.internSet({ProofAutomaton::FalseId}), 0);
   EXPECT_TRUE(Proof.isFalse(Next));
 }
 
@@ -91,7 +93,7 @@ TEST_F(VerifierTest, ProofDetectsBlockedActions) {
   uint32_t LeZero =
       Proof.addPredicate(TM.mkLe(TM.sumOfVar(X), TM.sumOfConst(0)));
   // {x <= 0} assume x >= 5 {false}: the action is blocked.
-  const PredSet &Next = Proof.step({LeZero}, 0);
+  SetId Next = Proof.step(Proof.internSet({LeZero}), 0);
   EXPECT_TRUE(Proof.isFalse(Next));
 }
 
@@ -356,6 +358,14 @@ TEST_F(VerifierTest, TimeoutReported) {
   EXPECT_EQ(R.V, Verdict::Timeout);
 }
 
+TEST_F(VerifierTest, UnknownOrderNameIsUndecidedNotAnAbort) {
+  auto P = build("var int x := 0; thread t { assert x == 0; }");
+  VerificationResult R = runSingleOrder(*P, fastConfig(), "no-such-order");
+  EXPECT_EQ(R.V, Verdict::Unknown);
+  EXPECT_EQ(R.Stats.get("unknown_order"), 1);
+  EXPECT_EQ(R.Rounds, 0);
+}
+
 //===----------------------------------------------------------------------===//
 // Workload suites: ground truth for every instance (seq order)
 //===----------------------------------------------------------------------===//
@@ -390,6 +400,97 @@ INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, SuiteGroundTruth, ::testing::ValuesIn(allSuiteInstances()),
     [](const ::testing::TestParamInfo<workloads::WorkloadInstance> &Info) {
       return Info.param.Name;
+    });
+
+//===----------------------------------------------------------------------===//
+// Golden DFS work counters (seq order)
+//===----------------------------------------------------------------------===//
+
+/// One seq-order run's verdict and DFS work counters. The literals were
+/// captured from the DFS with map-keyed memo tables; the id-keyed tables
+/// must reproduce them exactly — same states, same pruning, same Hoare and
+/// SMT query streams.
+struct GoldenDfs {
+  const char *Name;
+  Verdict V;
+  int64_t Rounds;
+  int64_t PeakVisited;
+  int64_t SleepPruned;
+  int64_t PersistentPruned;
+  int64_t UselessCacheHits;
+  int64_t HoareQueries;
+  int64_t SemanticCommutChecks;
+  int64_t SmtQueries;
+};
+
+/// Source of a golden row: bluetooth_<n> / bluetooth_bug_<n>, or a named
+/// instance of a tier-1 suite.
+std::string goldenSource(const std::string &Name) {
+  for (bool Bug : {true, false}) {
+    std::string Prefix = Bug ? "bluetooth_bug_" : "bluetooth_";
+    if (Name.rfind(Prefix, 0) == 0)
+      return workloads::bluetoothSource(std::stoi(Name.substr(Prefix.size())),
+                                        Bug);
+  }
+  for (const auto &Suite :
+       {workloads::svcompLikeSuite(), workloads::weaverLikeSuite(),
+        workloads::loopHeavySuite(), workloads::affineSuite()})
+    for (const workloads::WorkloadInstance &W : Suite)
+      if (W.Name == Name)
+        return W.Source;
+  ADD_FAILURE() << "no golden program " << Name;
+  return "";
+}
+
+void PrintTo(const GoldenDfs &G, std::ostream *OS) { *OS << G.Name; }
+
+class GoldenDfsCounters : public ::testing::TestWithParam<GoldenDfs> {};
+
+TEST_P(GoldenDfsCounters, SeqOrderWorkIsPinned) {
+  const GoldenDfs &G = GetParam();
+  smt::TermManager TM;
+  prog::BuildResult B = prog::buildFromSource(goldenSource(G.Name), TM);
+  ASSERT_TRUE(B.ok()) << B.Error;
+  VerifierConfig Cfg;
+  Cfg.TimeoutSeconds = 120;
+  VerificationResult R = runSingleOrder(*B.Program, Cfg, "seq");
+  const Statistics &S = R.Stats;
+  EXPECT_EQ(R.V, G.V);
+  EXPECT_EQ(R.Rounds, G.Rounds);
+  EXPECT_EQ(S.get("peak_visited"), G.PeakVisited);
+  EXPECT_EQ(S.get("sleep_pruned"), G.SleepPruned);
+  EXPECT_EQ(S.get("persistent_pruned"), G.PersistentPruned);
+  EXPECT_EQ(S.get("useless_cache_hits"), G.UselessCacheHits);
+  EXPECT_EQ(S.get("hoare_queries"), G.HoareQueries);
+  EXPECT_EQ(S.get("semantic_commut_checks"), G.SemanticCommutChecks);
+  EXPECT_EQ(S.get("smt_queries"), G.SmtQueries);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeqOrder, GoldenDfsCounters,
+    ::testing::Values(
+        GoldenDfs{"bluetooth_3", Verdict::Correct,
+                  3, 345, 933, 226, 178, 4306, 191, 2},
+        GoldenDfs{"bluetooth_bug_3", Verdict::Incorrect,
+                  3, 886, 1815, 848, 444, 5488, 247, 3},
+        GoldenDfs{"bluetooth_4", Verdict::Correct,
+                  3, 1594, 5644, 1076, 1125, 6564, 359, 1},
+        GoldenDfs{"bluetooth_bug_4", Verdict::Incorrect,
+                  3, 6258, 16292, 6967, 4619, 8500, 538, 3},
+        GoldenDfs{"bluetooth_5", Verdict::Correct,
+                  3, 7584, 32402, 5323, 7598, 10340, 544, 2},
+        GoldenDfs{"bluetooth_bug_5", Verdict::Incorrect,
+                  3, 24966, 86377, 22365, 24685, 12151, 786, 3},
+        GoldenDfs{"mutex_safe_3", Verdict::Correct,
+                  2, 41, 31, 23, 15, 167, 16, 1},
+        GoldenDfs{"parallel_sum_4", Verdict::Correct,
+                  2, 47, 49, 0, 1, 238, 8, 1},
+        GoldenDfs{"loop_sum_safe_5", Verdict::Correct,
+                  6, 29, 14, 0, 31, 5377, 1, 5},
+        GoldenDfs{"stride_pair_safe_5", Verdict::Correct,
+                  6, 40, 19, 0, 35, 9236, 2, 5}),
+    [](const ::testing::TestParamInfo<GoldenDfs> &Info) {
+      return std::string(Info.param.Name);
     });
 
 } // namespace
