@@ -101,13 +101,12 @@ int main(int argc, char **argv) {
               "construct+encode+solve wall-time)\n\n",
               benchTimeout());
   printTableHeader({"instance", "slv-inc", "slv-fresh", "sess", "asolve",
-                    "retained", "warm-pvt"},
-                   {20, 9, 9, 6, 7, 8, 8});
+                    "retained"},
+                   {20, 9, 9, 6, 7, 8});
 
   ArmTotals Incremental, Fresh;
   int Mismatches = 0;
-  int64_t Sessions = 0, AssumptionSolves = 0, Retained = 0, WarmPivots = 0;
-  int64_t WarmStarts = 0;
+  int64_t Sessions = 0, AssumptionSolves = 0, Retained = 0;
   for (const auto &W : Suite) {
     smt::TermManager TM;
     prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
@@ -139,8 +138,6 @@ int main(int argc, char **argv) {
     Sessions += Inc.Stats.get("smt_sessions");
     AssumptionSolves += Inc.Stats.get("smt_assumption_solves");
     Retained += Inc.Stats.get("smt_clauses_retained");
-    WarmPivots += Inc.Stats.get("smt_tableau_warm_pivots");
-    WarmStarts += Inc.Stats.get("smt_tableau_warm_starts");
 
     char IncBuf[32], FreshBuf[32];
     std::snprintf(IncBuf, sizeof(IncBuf), "%.3fs",
@@ -151,9 +148,8 @@ int main(int argc, char **argv) {
         {W.Name, IncBuf, FreshBuf,
          std::to_string(Inc.Stats.get("smt_sessions")),
          std::to_string(Inc.Stats.get("smt_assumption_solves")),
-         std::to_string(Inc.Stats.get("smt_clauses_retained")),
-         std::to_string(Inc.Stats.get("smt_tableau_warm_pivots"))},
-        {20, 9, 9, 6, 7, 8, 8});
+         std::to_string(Inc.Stats.get("smt_clauses_retained"))},
+        {20, 9, 9, 6, 7, 8});
   }
 
   double SavingsPct = savedPct(Fresh.SolverUs, Incremental.SolverUs);
@@ -162,13 +158,10 @@ int main(int argc, char **argv) {
               static_cast<double>(Incremental.SolverUs) / 1e6,
               static_cast<double>(Fresh.SolverUs) / 1e6, SavingsPct);
   std::printf("sessions: %lld opened, %lld assumption solve(s), %lld "
-              "learned clause(s) retained, %lld warm start(s), %lld warm "
-              "pivot(s)\n",
+              "learned clause(s) retained\n",
               static_cast<long long>(Sessions),
               static_cast<long long>(AssumptionSolves),
-              static_cast<long long>(Retained),
-              static_cast<long long>(WarmStarts),
-              static_cast<long long>(WarmPivots));
+              static_cast<long long>(Retained));
   std::printf("successful: %d/%zu incremental, %d/%zu fresh\n",
               Incremental.Successful, Suite.size(), Fresh.Successful,
               Suite.size());
@@ -200,8 +193,6 @@ int main(int argc, char **argv) {
   J.field("smt_sessions", Sessions);
   J.field("smt_assumption_solves", AssumptionSolves);
   J.field("smt_clauses_retained", Retained);
-  J.field("smt_tableau_warm_pivots", WarmPivots);
-  J.field("smt_tableau_warm_starts", WarmStarts);
   J.field("wall_s_incremental", Incremental.WallSeconds);
   J.field("wall_s_fresh", Fresh.WallSeconds);
   std::fprintf(F, "\n}\n");

@@ -69,6 +69,10 @@ bool ProofAutomaton::hoareHolds(HoareSession &HS, Term Pre, uint32_t PostId,
   return HS.Sess->isUnsatUnder({HS.Sess->prepare(Pre), It->second});
 }
 
+bool ProofAutomaton::refutes(const smt::Assignment &Model, Term Wp) {
+  return smt::evalFormulaChecked(Wp, Model) == false;
+}
+
 SetId ProofAutomaton::initialSet() {
   Term Init = P.initialConstraint();
   PredSet Out;
@@ -109,12 +113,54 @@ SetId ProofAutomaton::step(SetId S, Letter L) {
     Out.push_back(FalseId);
   } else {
     HoareSession *HS = Incremental ? &LetterSessions[L] : nullptr;
+    // The top-level conjuncts of Pre, in mkAnd's canonical id order.
+    const Term *Facts = &Pre;
+    size_t NumFacts = 1;
+    if (Pre->kind() == smt::TermKind::And) {
+      Facts = Pre->children().data();
+      NumFacts = Pre->children().size();
+    }
+    auto IsFact = [&](Term D) {
+      return std::binary_search(
+          Facts, Facts + NumFacts, D,
+          [](Term A, Term B) { return A->id() < B->id(); });
+    };
+    auto Framed = [&](Term Wp) {
+      if (IsFact(Wp))
+        return true;
+      if (Wp->kind() == smt::TermKind::Or)
+        for (Term D : Wp->children())
+          if (IsFact(D))
+            return true;
+      return false;
+    };
+    StepModels.clear();
     for (uint32_t Id = 0; Id < Predicates.size(); ++Id) {
       if (!isEnabled(Id))
         continue;
       ++HoareQueries;
       Term Wp = wpCached(L, Id);
-      bool Holds = HS ? hoareHolds(*HS, Pre, Id, Wp) : QE.implies(Pre, Wp);
+      bool Holds;
+      if (Framed(Wp)) {
+        ++HoareFrame;
+        Holds = true;
+      } else if (std::any_of(StepModels.begin(), StepModels.end(),
+                             [Wp](const smt::Assignment &M) {
+                               return refutes(M, Wp);
+                             })) {
+        ++HoareModelRefuted;
+        Holds = false;
+      } else if (HS) {
+        // A failing triple reached the session (the fast paths only prove);
+        // keep its counter-model once it is checked to satisfy Pre.
+        Holds = hoareHolds(*HS, Pre, Id, Wp);
+        const smt::Assignment *Model =
+            Holds ? nullptr : HS->Sess->lastModel();
+        if (Model && smt::evalFormulaChecked(Pre, *Model) == true)
+          StepModels.push_back(*Model);
+      } else {
+        Holds = QE.implies(Pre, Wp);
+      }
       if (Holds)
         Out.push_back(Id);
     }

@@ -80,6 +80,13 @@ public:
 
   /// Proof transition: largest T with {conj(S)} a {conj(T)} valid.
   /// Memoized per (S, L) in a flat table until the next invalidateCaches().
+  /// Two exact rules settle most triples before the solver is asked:
+  ///  - frame: wp(L, psi), or one of its top-level disjuncts, is itself a
+  ///    top-level conjunct of conj(S), so conj(S) => wp holds syntactically;
+  ///  - counter-model: a model the session solver returned earlier in the
+  ///    same step satisfies conj(S) and falsifies wp(L, psi), so the triple
+  ///    fails. Evaluation is overflow-checked; an overflowing model decides
+  ///    nothing and the solver is asked as before.
   SetId step(SetId S, automata::Letter L);
 
   bool isFalse(SetId S) const {
@@ -100,7 +107,17 @@ public:
   /// True if predicate Id is enabled under the current mask.
   bool predicateEnabled(uint32_t Id) const { return isEnabled(Id); }
 
+  /// Every triple posed by initialSet()/step() (statistic: hoare_queries).
   uint64_t numHoareQueries() const { return HoareQueries; }
+  /// Triples step() settled by the frame rule (statistic: hoare_frame).
+  uint64_t numHoareFrame() const { return HoareFrame; }
+  /// Triples step() refuted by a counter-model of the same step (statistic:
+  /// hoare_model_refuted).
+  uint64_t numHoareModelRefuted() const { return HoareModelRefuted; }
+
+  /// True iff Model falsifies Wp under checked evaluation; false when
+  /// Wp's value depends on an overflowing sum (no refutation).
+  static bool refutes(const smt::Assignment &Model, smt::Term Wp);
 
   /// Enables incremental SMT for the Hoare gate: one smt::Session per
   /// transition letter (plus one for initialSet), with each negated
@@ -147,7 +164,11 @@ private:
   std::map<std::pair<automata::Letter, uint32_t>, smt::Term> WpCache;
   std::map<automata::Letter, HoareSession> LetterSessions;
   HoareSession InitSession;
+  /// Counter-models of the step() in progress: each satisfies its conj(S).
+  std::vector<smt::Assignment> StepModels;
   uint64_t HoareQueries = 0;
+  uint64_t HoareFrame = 0;
+  uint64_t HoareModelRefuted = 0;
   bool Incremental = false;
 };
 

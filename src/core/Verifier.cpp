@@ -712,6 +712,9 @@ VerificationResult Verifier::Impl::run() {
             static_cast<int64_t>(SleepIntern.size()));
   Stats.add("hoare_queries",
             static_cast<int64_t>(Proof.numHoareQueries()));
+  Stats.add("hoare_frame", static_cast<int64_t>(Proof.numHoareFrame()));
+  Stats.add("hoare_model_refuted",
+            static_cast<int64_t>(Proof.numHoareModelRefuted()));
   Stats.add("smt_queries", static_cast<int64_t>(QE.numQueries()));
   Stats.add("smt_cache_hits", static_cast<int64_t>(QE.numCacheHits()));
   Stats.add("smt_sessions", static_cast<int64_t>(QE.numSessions()));
@@ -720,10 +723,6 @@ VerificationResult Verifier::Impl::run() {
   Stats.add("smt_clauses_retained",
             static_cast<int64_t>(QE.numClausesRetained()));
   Stats.add("smt_theory_rounds", static_cast<int64_t>(QE.numTheoryRounds()));
-  Stats.add("smt_tableau_warm_pivots",
-            static_cast<int64_t>(QE.numWarmPivots()));
-  Stats.add("smt_tableau_warm_starts",
-            static_cast<int64_t>(QE.numWarmStarts()));
   Stats.add("smt_solver_us", static_cast<int64_t>(QE.solverMicros()));
   Stats.add("semantic_commut_checks",
             static_cast<int64_t>(Commut.numSemanticChecks()));

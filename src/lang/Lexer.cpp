@@ -3,6 +3,7 @@
 #include "lang/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 
 using namespace seqver;
@@ -100,10 +101,17 @@ std::vector<Token> seqver::lang::tokenize(const std::string &Source) {
         Text += Peek();
         Advance();
       }
+      int64_t Value = 0;
+      if (std::from_chars(Text.data(), Text.data() + Text.size(), Value).ec !=
+          std::errc()) {
+        Emit(TokenKind::Error, "integer literal out of range", TokLine,
+             TokColumn);
+        return Tokens;
+      }
       Token T;
       T.Kind = TokenKind::Integer;
       T.Text = Text;
-      T.IntValue = std::stoll(Text);
+      T.IntValue = Value;
       T.Line = TokLine;
       T.Column = TokColumn;
       Tokens.push_back(std::move(T));

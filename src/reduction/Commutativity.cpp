@@ -228,15 +228,19 @@ persist::Fingerprint CommutativityChecker::sharedKey(Term Phi, Letter MinL,
       It->second = canonicalActionText(TM, P.action(L));
     return It->second;
   };
-  static const std::string TrueText = "true";
-  const std::string *PhiText = &TrueText;
-  if (Phi) {
-    auto [It, Inserted] = PhiTexts.try_emplace(Phi);
-    if (Inserted)
-      It->second = TM.str(Phi);
-    PhiText = &It->second;
+  if (!Phi) {
+    auto [It, Inserted] =
+        CtxFreeKeys.try_emplace((static_cast<uint64_t>(MinL) << 32) | MaxL);
+    if (Inserted) {
+      static const std::string TrueText = "true";
+      It->second = CommutOracle::makeKey(TextOf(MinL), TextOf(MaxL), TrueText);
+    }
+    return It->second;
   }
-  return CommutOracle::makeKey(TextOf(MinL), TextOf(MaxL), *PhiText);
+  auto [It, Inserted] = PhiTexts.try_emplace(Phi);
+  if (Inserted)
+    It->second = TM.str(Phi);
+  return CommutOracle::makeKey(TextOf(MinL), TextOf(MaxL), It->second);
 }
 
 void CommutativityChecker::publishShared(const persist::Fingerprint &Key,

@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace seqver {
@@ -171,7 +172,10 @@ private:
   bool dischargeObligations(smt::Term Context, PairObligations &Obl);
   /// Canonical key of the (already Phi-canonicalized, letter-ordered)
   /// query; the per-letter action texts and per-term Phi texts are
-  /// memoized, so repeat queries hash without re-rendering.
+  /// memoized. The context-free key (Phi null) is memoized per pair: it
+  /// is asked again on every shared-oracle miss of the pair under any
+  /// context. A contextual key is asked once per private-cache miss, and
+  /// the private cache then answers its repeats.
   persist::Fingerprint sharedKey(smt::Term Phi, automata::Letter MinL,
                                  automata::Letter MaxL);
   /// Publishes a proven answer to the shared oracle (no-op when detached).
@@ -216,6 +220,8 @@ private:
   /// interned term) for the shared-oracle key.
   std::map<automata::Letter, std::string> ActionTexts;
   std::map<smt::Term, std::string> PhiTexts;
+  /// Context-free shared-oracle keys by (min letter << 32 | max letter).
+  std::unordered_map<uint64_t, persist::Fingerprint> CtxFreeKeys;
   /// Per-pair symbolic compositions: the guard-equivalence and per-written-
   /// variable value-equivalence obligations of (min, max), built once and
   /// reused across every Phi context — only the unsat checks re-run.

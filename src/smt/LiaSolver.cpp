@@ -2,7 +2,7 @@
 
 #include "smt/LiaSolver.h"
 
-#include "support/InternTable.h"
+#include "smt/Farkas.h"
 
 #include <algorithm>
 #include <cassert>
@@ -33,47 +33,6 @@ std::vector<Term> collectVars(const std::vector<LiaAtom> &Atoms,
   return Vars;
 }
 
-uint64_t hashSum(uint64_t H, const LinSum &Sum) {
-  for (const auto &[Var, Coeff] : Sum.Terms) {
-    H = hashCombine(H, Var->id());
-    H = hashCombine(H, static_cast<uint64_t>(Coeff));
-  }
-  return hashCombine(H, static_cast<uint64_t>(Sum.Constant));
-}
-
-/// Hash of the exact theory problem; collisions are harmless because the
-/// warm-cache probe also compares the stored vectors for equality.
-uint64_t hashProblem(const std::vector<LiaAtom> &Atoms,
-                     const std::vector<LinSum> &Diseqs) {
-  uint64_t H = hashMix(Atoms.size() * 2654435761ULL + Diseqs.size());
-  for (const LiaAtom &Atom : Atoms)
-    H = hashCombine(hashSum(H, Atom.Sum), Atom.IsEq ? 3 : 5);
-  for (const LinSum &Sum : Diseqs)
-    H = hashSum(H, Sum);
-  return H;
-}
-
-bool sameSum(const LinSum &A, const LinSum &B) {
-  return A.Constant == B.Constant && A.Terms == B.Terms;
-}
-
-bool sameProblem(const std::vector<LiaAtom> &Atoms,
-                 const std::vector<LinSum> &Diseqs,
-                 const std::vector<LiaAtom> &CachedAtoms,
-                 const std::vector<LinSum> &CachedDiseqs) {
-  if (Atoms.size() != CachedAtoms.size() ||
-      Diseqs.size() != CachedDiseqs.size())
-    return false;
-  for (size_t I = 0; I < Atoms.size(); ++I)
-    if (Atoms[I].IsEq != CachedAtoms[I].IsEq ||
-        !sameSum(Atoms[I].Sum, CachedAtoms[I].Sum))
-      return false;
-  for (size_t I = 0; I < Diseqs.size(); ++I)
-    if (!sameSum(Diseqs[I], CachedDiseqs[I]))
-      return false;
-  return true;
-}
-
 /// Builds the root tableau: one column per variable, one slack row per
 /// atom, bounds carrying the atoms' constants.
 void buildRoot(Simplex &Splx, const std::vector<LiaAtom> &Atoms,
@@ -101,57 +60,70 @@ void buildRoot(Simplex &Splx, const std::vector<LiaAtom> &Atoms,
 
 } // namespace
 
-LiaResult LiaSolver::solveRec(const Simplex &Solved,
-                              const std::vector<Term> &Vars,
-                              std::vector<Rational> &ModelOut,
-                              uint64_t &NodeBudget) {
-  // Solved is rationally feasible; find a fractional variable to branch on.
-  size_t Fractional = Vars.size();
-  for (size_t I = 0; I < Vars.size(); ++I) {
-    if (!Solved.value(static_cast<int>(I)).isIntegral()) {
-      Fractional = I;
-      break;
+LiaResult LiaSolver::branchAndBound(Simplex Node,
+                                    const std::vector<Term> &Vars,
+                                    std::vector<Rational> &ModelOut,
+                                    uint64_t &NodeBudget) {
+  // Depth-first, the left branch (x <= floor) before the right one
+  // (x >= ceil). Pending holds the solved nodes whose left subtree is being
+  // searched: an infeasible subtree resumes at the right branch of the
+  // innermost one. The depth can reach the node budget, so it lives on the
+  // heap, not the call stack. Each branch copies the solved parent and
+  // tightens one bound, so the child's check() re-pivots from the parent's
+  // basis instead of rebuilding the tableau from scratch.
+  struct Branch {
+    Simplex Node;
+    int Var;
+    int64_t Ceil;
+  };
+  std::vector<Branch> Pending;
+  for (;;) {
+    // Node is rationally feasible; find a fractional variable to branch on.
+    size_t Fractional = Vars.size();
+    for (size_t I = 0; I < Vars.size(); ++I) {
+      if (!Node.value(static_cast<int>(I)).isIntegral()) {
+        Fractional = I;
+        break;
+      }
     }
-  }
-  if (Fractional == Vars.size()) {
-    ModelOut.resize(Vars.size());
-    for (size_t I = 0; I < Vars.size(); ++I)
-      ModelOut[I] = Solved.value(static_cast<int>(I));
-    return LiaResult::Sat;
-  }
-  Rational Value = Solved.value(static_cast<int>(Fractional));
+    if (Fractional == Vars.size()) {
+      ModelOut.resize(Vars.size());
+      for (size_t I = 0; I < Vars.size(); ++I)
+        ModelOut[I] = Node.value(static_cast<int>(I));
+      return LiaResult::Sat;
+    }
+    int Var = static_cast<int>(Fractional);
+    Rational Value = Node.value(Var);
 
-  // Each branch copies the solved parent and tightens one bound, so the
-  // child's check() re-pivots from the parent's basis instead of rebuilding
-  // the tableau from scratch.
-  // Left branch: x <= floor(value).
-  {
     if (NodeBudget == 0)
       return LiaResult::Unknown;
     --NodeBudget;
-    Simplex Child = Solved;
-    Child.setUpper(static_cast<int>(Fractional), Rational(Value.floor()));
-    uint64_t Before = Child.numPivots();
-    bool ChildSat = Child.check() == Simplex::Result::Sat;
-    WarmPivots += Child.numPivots() - Before;
-    if (ChildSat) {
-      LiaResult Left = solveRec(Child, Vars, ModelOut, NodeBudget);
-      if (Left == LiaResult::Sat || Left == LiaResult::Unknown)
-        return Left;
+    Simplex Left = Node;
+    Left.setUpper(Var, Rational(Value.floor()));
+    if (Left.check() == Simplex::Result::Sat) {
+      Pending.push_back({std::move(Node), Var, Value.ceil()});
+      Node = std::move(Left);
+      continue;
+    }
+
+    // Right branches: of Node, then of each pending node in turn while the
+    // right child is infeasible.
+    int64_t Ceil = Value.ceil();
+    for (;;) {
+      if (NodeBudget == 0)
+        return LiaResult::Unknown;
+      --NodeBudget;
+      Node.setLower(Var, Rational(Ceil));
+      if (Node.check() == Simplex::Result::Sat)
+        break;
+      if (Pending.empty())
+        return LiaResult::Unsat;
+      Node = std::move(Pending.back().Node);
+      Var = Pending.back().Var;
+      Ceil = Pending.back().Ceil;
+      Pending.pop_back();
     }
   }
-  // Right branch: x >= ceil(value).
-  if (NodeBudget == 0)
-    return LiaResult::Unknown;
-  --NodeBudget;
-  Simplex Child = Solved;
-  Child.setLower(static_cast<int>(Fractional), Rational(Value.ceil()));
-  uint64_t Before = Child.numPivots();
-  bool ChildSat = Child.check() == Simplex::Result::Sat;
-  WarmPivots += Child.numPivots() - Before;
-  if (!ChildSat)
-    return LiaResult::Unsat;
-  return solveRec(Child, Vars, ModelOut, NodeBudget);
 }
 
 LiaResult LiaSolver::check(const std::vector<LiaAtom> &Atoms,
@@ -163,35 +135,13 @@ LiaResult LiaSolver::check(const std::vector<LiaAtom> &Atoms,
     return LiaResult::Unknown;
   --Budget; // the root check is the first node
 
-  uint64_t Key = CacheEnabled ? hashProblem(Atoms, Diseqs) : 0;
   Simplex Root;
-  bool Warm = CacheEnabled && WarmValid && Key == WarmKey &&
-              sameProblem(Atoms, Diseqs, WarmAtoms, WarmDiseqs);
-  if (Warm) {
-    Root = WarmRoot;
-    ++WarmStarts;
-  } else {
-    buildRoot(Root, Atoms, Vars);
-  }
-  uint64_t Before = Root.numPivots();
-  bool RootSat = Root.check() == Simplex::Result::Sat;
-  if (Warm)
-    WarmPivots += Root.numPivots() - Before;
-  if (!RootSat)
+  buildRoot(Root, Atoms, Vars);
+  if (Root.check() != Simplex::Result::Sat)
     return LiaResult::Unsat;
-  if (CacheEnabled) {
-    // Cache the solved root for the next identical problem (session query
-    // streams re-derive the same theory conjunction across rounds).
-    WarmValid = true;
-    WarmKey = Key;
-    WarmAtoms = Atoms;
-    WarmDiseqs = Diseqs;
-    WarmVars = Vars;
-    WarmRoot = Root;
-  }
 
   std::vector<Rational> Values;
-  LiaResult Result = solveRec(Root, Vars, Values, Budget);
+  LiaResult Result = branchAndBound(std::move(Root), Vars, Values, Budget);
   if (Result != LiaResult::Sat)
     return Result;
 
@@ -215,22 +165,30 @@ LiaResult LiaSolver::check(const std::vector<LiaAtom> &Atoms,
 }
 
 std::vector<size_t> LiaSolver::unsatCore(const std::vector<LiaAtom> &Atoms) {
-  std::vector<size_t> Kept(Atoms.size());
-  for (size_t I = 0; I < Atoms.size(); ++I)
-    Kept[I] = I;
+  // Seed: the support of a validated Farkas certificate is a rationally
+  // (hence integrally) infeasible subset, usually far smaller than Atoms.
+  std::vector<size_t> Kept;
+  std::optional<std::vector<Rational>> Lambda = farkasCertificate(Atoms);
+  if (Lambda && isValidFarkasCertificate(Atoms, *Lambda)) {
+    for (size_t I = 0; I < Atoms.size(); ++I)
+      if (!(*Lambda)[I].isZero())
+        Kept.push_back(I);
+  } else {
+    Kept.resize(Atoms.size());
+    for (size_t I = 0; I < Atoms.size(); ++I)
+      Kept[I] = I;
+  }
 
-  // Deletion filter on a scratch solver (the subset probes would otherwise
-  // thrash this instance's warm root cache): drop an atom if the rest stays
-  // Unsat. Unknown results conservatively keep the atom (the core stays an
-  // over-approximation, which is sound for blocking clauses).
-  LiaSolver Scratch(MaxNodes);
+  // Deletion filter: drop an atom if the rest stays Unsat. Unknown results
+  // conservatively keep the atom (the core stays an over-approximation,
+  // which is sound for blocking clauses).
   for (size_t I = 0; I < Kept.size();) {
     std::vector<LiaAtom> Candidate;
     Candidate.reserve(Kept.size() - 1);
     for (size_t K = 0; K < Kept.size(); ++K)
       if (K != I)
         Candidate.push_back(Atoms[Kept[K]]);
-    if (Scratch.check(Candidate, {}, nullptr, nullptr) == LiaResult::Unsat)
+    if (check(Candidate, {}, nullptr, nullptr) == LiaResult::Unsat)
       Kept.erase(Kept.begin() + static_cast<ptrdiff_t>(I));
     else
       ++I;

@@ -73,7 +73,6 @@ void Simplex::initializeAssignment() {
 }
 
 void Simplex::pivot(int RowIndex, int EnteringVar) {
-  ++Pivots;
   Row &PivotRow = Rows[RowIndex];
   int LeavingVar = PivotRow.BasicVar;
   Rational PivotCoeff = PivotRow.Coeffs[EnteringVar];

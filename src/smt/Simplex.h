@@ -26,8 +26,7 @@ namespace smt {
 /// instance clones the tableau *including the current basis*: the integer
 /// layer branches by copying a solved parent, tightening one bound, and
 /// re-running check(), which re-pivots from the inherited basis instead of
-/// from scratch (the warm-start half of the incremental DPLL(T) design;
-/// docs/PERF.md §7).
+/// from scratch.
 class Simplex {
 public:
   enum class Result { Sat, Unsat };
@@ -51,12 +50,6 @@ public:
   const Rational &value(int Var) const { return Beta[Var]; }
 
   int numVars() const { return static_cast<int>(Beta.size()); }
-
-  /// Pivot operations performed over this instance's lifetime. The class is
-  /// copyable, and a copy inherits the basis *and* the counter — so the
-  /// pivots a warm-started copy performs on top of the inherited basis are
-  /// `copy.numPivots() - parent.numPivots()`.
-  uint64_t numPivots() const { return Pivots; }
 
 private:
   static constexpr int NoRow = -1;
@@ -84,7 +77,6 @@ private:
   std::vector<int> RowOf;
   std::vector<Row> Rows;
   bool Initialized = false;
-  uint64_t Pivots = 0;
 };
 
 } // namespace smt

@@ -377,8 +377,6 @@ SolverResult QueryEngine::checkSat(Term Formula) {
   SolverMicros += static_cast<uint64_t>(Clock.seconds() * 1e6);
   TheoryRoundsTotal += S.numTheoryRoundsTotal();
   ClausesRetained += S.numClausesRetained();
-  WarmPivots += S.numWarmPivots();
-  WarmStarts += S.numWarmStarts();
   // Unknowns from budget exhaustion are deterministic and cacheable; an
   // Unknown (or anything else) produced while cancellation fired is not.
   if (!stopRequested())
@@ -397,8 +395,6 @@ SolverResult QueryEngine::checkSatModel(Term Formula, Assignment &ModelOut) {
   SolverMicros += static_cast<uint64_t>(Clock.seconds() * 1e6);
   TheoryRoundsTotal += S.numTheoryRoundsTotal();
   ClausesRetained += S.numClausesRetained();
-  WarmPivots += S.numWarmPivots();
-  WarmStarts += S.numWarmStarts();
   if (Result == SolverResult::Sat)
     ModelOut = S.model();
   return Result;
@@ -434,12 +430,11 @@ Solver &Session::solver() {
   }
   if (!S) {
     S = std::make_unique<Solver>(QE.TM);
-    S->enableTheoryRootCache();
     for (const runtime::CancellationToken *Token : QE.Watched)
       S->watchCancellation(Token);
     for (Term F : Permanent)
       S->assertFormula(F);
-    SeenRounds = SeenRetained = SeenWarm = SeenWarmStarts = 0;
+    SeenRounds = SeenRetained = 0;
   }
   return *S;
 }
@@ -449,12 +444,8 @@ void Session::flushCounters() {
     return;
   QE.TheoryRoundsTotal += S->numTheoryRoundsTotal() - SeenRounds;
   QE.ClausesRetained += S->numClausesRetained() - SeenRetained;
-  QE.WarmPivots += S->numWarmPivots() - SeenWarm;
-  QE.WarmStarts += S->numWarmStarts() - SeenWarmStarts;
   SeenRounds = S->numTheoryRoundsTotal();
   SeenRetained = S->numClausesRetained();
-  SeenWarm = S->numWarmPivots();
-  SeenWarmStarts = S->numWarmStarts();
 }
 
 Session::Handle Session::prepare(Term Formula) {
@@ -482,8 +473,8 @@ void Session::pop() {
   ContextTerms.pop_back();
 }
 
-SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
-                                 Assignment *ModelOut) {
+SolverResult Session::checkUnder(const std::vector<Handle> &Assumed) {
+  LastSolvedSat = false;
   // The memo key is the exact active premise set: context handles plus the
   // explicit ones, deduplicated (activation is idempotent).
   std::vector<uint32_t> Key;
@@ -494,12 +485,10 @@ SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
   std::sort(Key.begin(), Key.end());
   Key.erase(std::unique(Key.begin(), Key.end()), Key.end());
 
-  if (!ModelOut) {
-    auto It = Memo.find(Key);
-    if (It != Memo.end()) {
-      ++QE.CacheHits;
-      return It->second;
-    }
+  auto MemoIt = Memo.find(Key);
+  if (MemoIt != Memo.end()) {
+    ++QE.CacheHits;
+    return MemoIt->second;
   }
 
   // Without permanent assertions the premise set IS the query, so the
@@ -518,18 +507,16 @@ SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
       Memo.emplace(std::move(Key), SolverResult::Unsat);
       return SolverResult::Unsat;
     }
-    if (Conj == QE.TM.mkTrue() && !ModelOut) {
+    if (Conj == QE.TM.mkTrue()) {
       ++QE.CacheHits;
       Memo.emplace(std::move(Key), SolverResult::Sat);
       return SolverResult::Sat;
     }
-    if (!ModelOut) {
-      auto It = QE.SatCache.find(Conj);
-      if (It != QE.SatCache.end()) {
-        ++QE.CacheHits;
-        Memo.emplace(std::move(Key), It->second);
-        return It->second;
-      }
+    auto It = QE.SatCache.find(Conj);
+    if (It != QE.SatCache.end()) {
+      ++QE.CacheHits;
+      Memo.emplace(std::move(Key), It->second);
+      return It->second;
     }
   }
 
@@ -544,20 +531,13 @@ SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
 
   uint64_t R0 = Sv.numTheoryRoundsTotal();
   uint64_t C0 = Sv.numClausesRetained();
-  uint64_t W0 = Sv.numWarmPivots();
-  uint64_t WS0 = Sv.numWarmStarts();
   SolverResult Result = Sv.checkUnder(Lits);
   QE.noteSessionSolve(static_cast<uint64_t>(Clock.seconds() * 1e6),
                       Sv.numTheoryRoundsTotal() - R0,
-                      Sv.numClausesRetained() - C0, Sv.numWarmPivots() - W0,
-                      Sv.numWarmStarts() - WS0);
+                      Sv.numClausesRetained() - C0);
   SeenRounds = Sv.numTheoryRoundsTotal();
   SeenRetained = Sv.numClausesRetained();
-  SeenWarm = Sv.numWarmPivots();
-  SeenWarmStarts = Sv.numWarmStarts();
-
-  if (Result == SolverResult::Sat && ModelOut)
-    *ModelOut = Sv.model();
+  LastSolvedSat = Result == SolverResult::Sat;
   // Non-cancelled verdicts are worth remembering — including Unknown, which
   // is deterministic budget exhaustion here (the Hoare gate re-poses every
   // unproven triple each refinement round, and re-exhausting the budget each

@@ -95,17 +95,8 @@ public:
   uint64_t numTheoryRoundsTotal() const { return TheoryRoundsTotal; }
   /// Learned clauses inherited across SAT solve calls (statistic).
   uint64_t numClausesRetained() const { return Sat.numClausesRetained(); }
-  /// Warm tableau pivots in the theory layer (statistic).
-  uint64_t numWarmPivots() const { return Lia.numWarmPivots(); }
-  /// Warm-started theory root checks (statistic).
-  uint64_t numWarmStarts() const { return Lia.numWarmStarts(); }
   /// Size proxy used by sessions to decide on an epoch reset.
   uint32_t numVars() const { return Sat.numVars(); }
-
-  /// Enables the theory layer's cross-check root-tableau cache; called by
-  /// sessions (long-lived solvers), where repeated theory conjunctions make
-  /// the per-check bookkeeping pay for itself.
-  void enableTheoryRootCache() { Lia.enableRootCache(); }
 
   /// Registers a cancellation token; it is polled once per theory round and
   /// every few thousand SAT conflicts. A fired token makes the running
@@ -219,10 +210,6 @@ public:
   uint64_t numClausesRetained() const { return ClausesRetained; }
   /// Theory rounds across all solvers (statistic: smt_theory_rounds).
   uint64_t numTheoryRounds() const { return TheoryRoundsTotal; }
-  /// Warm tableau pivots (statistic: smt_tableau_warm_pivots).
-  uint64_t numWarmPivots() const { return WarmPivots; }
-  /// Warm-started theory root checks (statistic: smt_tableau_warm_starts).
-  uint64_t numWarmStarts() const { return WarmStarts; }
   /// Wall-clock microseconds spent inside solver checks, both paths; the
   /// incremental benchmark compares this figure across arms.
   uint64_t solverMicros() const { return SolverMicros; }
@@ -238,14 +225,11 @@ private:
   }
   /// Called by sessions after each real solve to fold their costs into the
   /// engine-wide statistics.
-  void noteSessionSolve(uint64_t Micros, uint64_t Rounds, uint64_t Retained,
-                        uint64_t Warm, uint64_t Starts) {
+  void noteSessionSolve(uint64_t Micros, uint64_t Rounds, uint64_t Retained) {
     ++AssumptionSolves;
     SolverMicros += Micros;
     TheoryRoundsTotal += Rounds;
     ClausesRetained += Retained;
-    WarmPivots += Warm;
-    WarmStarts += Starts;
   }
 
   TermManager &TM;
@@ -265,16 +249,14 @@ private:
   uint64_t AssumptionSolves = 0;
   uint64_t ClausesRetained = 0;
   uint64_t TheoryRoundsTotal = 0;
-  uint64_t WarmPivots = 0;
-  uint64_t WarmStarts = 0;
   uint64_t SolverMicros = 0;
 };
 
 /// An incremental query session: one persistent Solver decides a stream of
 /// related queries. Premises are registered once via prepare() (returning a
 /// stable Handle backed by an activation literal) and activated per query as
-/// assumptions, so the SAT encoding, learned clauses, theory lemmas, and the
-/// warm simplex tableau all carry over between queries.
+/// assumptions, so the SAT encoding, learned clauses and theory lemmas all
+/// carry over between queries.
 ///
 /// Handles survive epoch resets: when the underlying solver accumulates too
 /// much dead state (vars beyond kEpochVarLimit), the session transparently
@@ -302,10 +284,15 @@ public:
   void pop();
 
   /// Decides the permanent assertions, the context stack, and the given
-  /// premises. With ModelOut, a Sat answer fills the model (model queries
-  /// bypass the verdict memo). Unknown on budget/cancellation.
-  SolverResult checkUnder(const std::vector<Handle> &Assumed,
-                          Assignment *ModelOut = nullptr);
+  /// premises. Unknown on budget/cancellation.
+  SolverResult checkUnder(const std::vector<Handle> &Assumed);
+
+  /// The model of the last checkUnder() if that call solved to Sat; null
+  /// when it answered from the verdict memo or a cache, or was not Sat.
+  /// Valid until the next checkUnder().
+  const Assignment *lastModel() const {
+    return LastSolvedSat ? &S->model() : nullptr;
+  }
 
   /// True iff the active premises are jointly unsatisfiable. Unknown counts
   /// as "not proven", matching QueryEngine::isUnsat.
@@ -331,8 +318,7 @@ private:
   /// Counter baselines for delta reporting into the engine.
   uint64_t SeenRounds = 0;
   uint64_t SeenRetained = 0;
-  uint64_t SeenWarm = 0;
-  uint64_t SeenWarmStarts = 0;
+  bool LastSolvedSat = false;
 };
 
 } // namespace smt

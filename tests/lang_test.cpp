@@ -57,6 +57,26 @@ TEST(LexerTest, UnexpectedCharacter) {
   EXPECT_EQ(Tokens.back().Kind, TokenKind::Error);
 }
 
+TEST(LexerTest, IntegerLiteralOutOfRange) {
+  // The int64 maximum lexes; one past it, and a 20-digit literal, are
+  // lexical errors at the literal's position (not an exception).
+  auto Max = tokenize("9223372036854775807");
+  ASSERT_EQ(Max[0].Kind, TokenKind::Integer);
+  EXPECT_EQ(Max[0].IntValue, INT64_MAX);
+  for (const char *Literal : {"9223372036854775808", "99999999999999999999"}) {
+    auto Tokens = tokenize(std::string("var int x :=\n  ") + Literal + ";");
+    ASSERT_EQ(Tokens.back().Kind, TokenKind::Error) << Literal;
+    EXPECT_EQ(Tokens.back().Text, "integer literal out of range");
+    EXPECT_EQ(Tokens.back().Line, 2);
+    EXPECT_EQ(Tokens.back().Column, 3);
+  }
+  smt::TermManager TM;
+  ParseResult R = parseProgram("var int x := 99999999999999999999;", TM);
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("integer literal out of range"), std::string::npos)
+      << R.Error;
+}
+
 namespace {
 
 ParseResult parse(const std::string &Source) {

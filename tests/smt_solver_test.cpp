@@ -1,6 +1,8 @@
 //===- tests/smt_solver_test.cpp - SAT + DPLL(T) solver tests -------------===//
 
 #include "smt/Evaluator.h"
+#include "smt/Farkas.h"
+#include "smt/LiaSolver.h"
 #include "smt/SatSolver.h"
 #include "smt/Solver.h"
 
@@ -439,6 +441,8 @@ TEST_P(SolverRandomFormula, AgreesWithBruteForce) {
           Values.IntValues[IntVars[2]] = C;
           Values.BoolValues[BoolVar] = PB == 1;
           BruteSat = evalFormula(Conjunction, Values);
+          // Small values never overflow: checked evaluation agrees.
+          ASSERT_EQ(evalFormulaChecked(Conjunction, Values), BruteSat);
         }
 
   Solver S(TM);
@@ -481,11 +485,18 @@ TEST_F(SolverTest, SessionRetainedClausesNeverFlip) {
     EXPECT_EQ(Sess->checkUnder({GeFive, LeSeven}), SolverResult::Sat);
     EXPECT_EQ(Sess->checkUnder({LeThree}), SolverResult::Sat);
   }
-  // Model queries bypass the verdict memo and must produce a real model.
-  Assignment Model;
-  ASSERT_EQ(Sess->checkUnder({GeFive, LeSeven}, &Model), SolverResult::Sat);
-  EXPECT_GE(Model.intValue(X), 5);
-  EXPECT_LE(Model.intValue(X), 7);
+  // A memo hit yields no model; a premise set the session has not seen is
+  // solved, and its Sat answer exposes a real model.
+  EXPECT_EQ(Sess->checkUnder({GeFive, LeSeven}), SolverResult::Sat);
+  EXPECT_EQ(Sess->lastModel(), nullptr);
+  Session::Handle LeSix = Sess->prepare(TM.mkLe(sx(), c(6)));
+  ASSERT_EQ(Sess->checkUnder({GeFive, LeSix}), SolverResult::Sat);
+  const Assignment *Model = Sess->lastModel();
+  ASSERT_NE(Model, nullptr);
+  EXPECT_GE(Model->intValue(X), 5);
+  EXPECT_LE(Model->intValue(X), 6);
+  EXPECT_TRUE(Sess->isUnsatUnder({GeFive, LeThree}));
+  EXPECT_EQ(Sess->lastModel(), nullptr);
 }
 
 TEST_F(SolverTest, SessionInterleavedPushPopStress) {
@@ -531,6 +542,139 @@ TEST_F(SolverTest, SessionInterleavedPushPopStress) {
       Fresh.assertFormula(Link);
     EXPECT_EQ(Incremental, Fresh.check()) << "step " << Step;
   }
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Checked evaluation and theory cores
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+TEST_F(SolverTest, CheckedEvalReportsOverflow) {
+  // x + y + z at x = y = z = 2^62 leaves int64; so does 2^62 * 4.
+  Assignment Big;
+  for (Term V : {X, Y, Z})
+    Big.IntValues[V] = int64_t(1) << 62;
+  LinSum Three = TermManager::sumAdd(TermManager::sumAdd(sx(), sy()), sz());
+  EXPECT_FALSE(evalSumChecked(Three, Big).has_value());
+  EXPECT_FALSE(evalSumChecked(TermManager::sumScale(sx(), 4), Big));
+  // -x - y = -2^63 is the int64 minimum: in range.
+  LinSum NegTwo = TermManager::sumScale(TermManager::sumAdd(sx(), sy()), -1);
+  EXPECT_EQ(evalSumChecked(NegTwo, Big), std::optional<int64_t>(INT64_MIN));
+  // Three-valued junctions: a settling sibling decides, otherwise nothing.
+  Term Over = TM.mkLeZero(Three);
+  Term False = TM.mkLe(sx(), c(0)); // false under Big
+  Term True = TM.mkGe(sx(), c(0));  // true under Big
+  EXPECT_FALSE(evalFormulaChecked(Over, Big).has_value());
+  EXPECT_FALSE(evalFormulaChecked(TM.mkNot(Over), Big).has_value());
+  EXPECT_EQ(evalFormulaChecked(TM.mkAnd(Over, False), Big), false);
+  EXPECT_FALSE(evalFormulaChecked(TM.mkAnd(Over, True), Big).has_value());
+  EXPECT_EQ(evalFormulaChecked(TM.mkOr(Over, True), Big), true);
+  EXPECT_FALSE(evalFormulaChecked(TM.mkOr(Over, False), Big).has_value());
+}
+
+class TheoryCoreTest : public ::testing::Test {
+protected:
+  TermManager TM;
+  std::vector<Term> Vars = {TM.mkVar("a", Sort::Int), TM.mkVar("b", Sort::Int),
+                            TM.mkVar("c", Sort::Int), TM.mkVar("d", Sort::Int)};
+
+  /// A random atom sum_i k_i v_i + K <= 0 (or == 0) with small coefficients.
+  LiaAtom randomAtom(Rng &R) {
+    LinSum Sum = TM.sumOfConst(R.range(-6, 6));
+    for (Term V : Vars)
+      if (R.below(3) == 0)
+        Sum = TermManager::sumAdd(
+            Sum, TermManager::sumScale(TM.sumOfVar(V), R.range(-3, 3)));
+    return {Sum, R.below(5) == 0};
+  }
+
+  /// Core must be Unsat and lose Unsat without any one of its atoms.
+  void expectIrreducible(const std::vector<LiaAtom> &Atoms,
+                         const std::vector<size_t> &Core) {
+    LiaSolver Lia;
+    std::vector<LiaAtom> Sub;
+    for (size_t I : Core)
+      Sub.push_back(Atoms[I]);
+    ASSERT_EQ(Lia.check(Sub, {}, nullptr, nullptr), LiaResult::Unsat);
+    for (size_t Drop = 0; Drop < Sub.size(); ++Drop) {
+      std::vector<LiaAtom> Rest;
+      for (size_t I = 0; I < Sub.size(); ++I)
+        if (I != Drop)
+          Rest.push_back(Sub[I]);
+      EXPECT_NE(Lia.check(Rest, {}, nullptr, nullptr), LiaResult::Unsat)
+          << "core atom " << Core[Drop] << " is redundant";
+    }
+  }
+};
+
+TEST_F(TheoryCoreTest, FarkasSeededCoreIsUnsatAndIrreducible) {
+  // Random Unsat systems; the rationally infeasible ones take the seeded
+  // path, and their core stays inside the certificate's support.
+  int Seeded = 0;
+  for (uint64_t Seed = 0; Seed < 300; ++Seed) {
+    Rng R(Seed);
+    std::vector<LiaAtom> Atoms;
+    for (int I = 0; I < 8; ++I)
+      Atoms.push_back(randomAtom(R));
+    LiaSolver Lia;
+    if (Lia.check(Atoms, {}, nullptr, nullptr) != LiaResult::Unsat)
+      continue;
+    std::vector<size_t> Core = Lia.unsatCore(Atoms);
+    expectIrreducible(Atoms, Core);
+    std::optional<std::vector<Rational>> Lambda = farkasCertificate(Atoms);
+    if (!Lambda)
+      continue;
+    ASSERT_TRUE(isValidFarkasCertificate(Atoms, *Lambda)) << "seed " << Seed;
+    ++Seeded;
+    for (size_t I : Core)
+      EXPECT_FALSE((*Lambda)[I].isZero())
+          << "seed " << Seed << ": atom " << I << " outside the support";
+  }
+  EXPECT_GT(Seeded, 10);
+}
+
+TEST_F(TheoryCoreTest, IntegerOnlyInfeasibilityFiltersFullSet) {
+  // 2a == 1 is feasible over the rationals: no certificate, so the core
+  // comes from filtering the whole set.
+  LinSum TwoA = TermManager::sumScale(TM.sumOfVar(Vars[0]), 2);
+  TwoA.Constant -= 1;
+  LinSum BLe = TM.sumOfVar(Vars[1]);
+  BLe.Constant -= 3;
+  std::vector<LiaAtom> Atoms = {{BLe, false}, {TwoA, true}};
+  EXPECT_FALSE(farkasCertificate(Atoms).has_value());
+  std::vector<size_t> Core = LiaSolver().unsatCore(Atoms);
+  EXPECT_EQ(Core, std::vector<size_t>{1});
+  expectIrreducible(Atoms, Core);
+}
+
+TEST_F(TheoryCoreTest, CorruptedCertificateIsRejected) {
+  // a <= 0, b - a <= 0, 1 - b <= 0: multipliers (1, 1, 1) sum to 1 <= 0.
+  LinSum A = TM.sumOfVar(Vars[0]);
+  LinSum BMinusA = TermManager::sumSub(TM.sumOfVar(Vars[1]), A);
+  LinSum OneMinusB = TermManager::sumScale(TM.sumOfVar(Vars[1]), -1);
+  OneMinusB.Constant += 1;
+  std::vector<LiaAtom> Atoms = {{A, false}, {BMinusA, false}, {OneMinusB, false}};
+  std::optional<std::vector<Rational>> Lambda = farkasCertificate(Atoms);
+  ASSERT_TRUE(Lambda.has_value());
+  ASSERT_TRUE(isValidFarkasCertificate(Atoms, *Lambda));
+  for (size_t I = 0; I < Atoms.size(); ++I) {
+    std::vector<Rational> Scaled = *Lambda;
+    Scaled[I] = Scaled[I] * Rational(2); // variables no longer cancel
+    EXPECT_FALSE(isValidFarkasCertificate(Atoms, Scaled)) << "scaled " << I;
+    std::vector<Rational> Negated = *Lambda;
+    Negated[I] = -Negated[I]; // negative multiplier on an inequality
+    EXPECT_FALSE(isValidFarkasCertificate(Atoms, Negated)) << "negated " << I;
+  }
+  std::vector<Rational> Short(Lambda->begin(), Lambda->end() - 1);
+  EXPECT_FALSE(isValidFarkasCertificate(Atoms, Short));
+  std::vector<Rational> Zero(Atoms.size(), Rational(0));
+  EXPECT_FALSE(isValidFarkasCertificate(Atoms, Zero));
+  // The core over the valid certificate is the whole (irreducible) chain.
+  std::vector<size_t> Core = LiaSolver().unsatCore(Atoms);
+  EXPECT_EQ(Core, (std::vector<size_t>{0, 1, 2}));
 }
 
 } // namespace

@@ -239,14 +239,11 @@ void finishIncremental(GroupResult &R, const MatrixOptions &O,
     emit(O, " (%.1f%% saved)", percentSaved(SolverUsFresh, SolverUsInc));
   emit(O,
        "\nsessions: %lld opened, %lld assumption solve(s), %lld "
-       "learned clause(s) retained, %lld warm pivot(s); %zu "
-       "parallel arm(s)\n",
+       "learned clause(s) retained; %zu parallel arm(s)\n",
        static_cast<long long>(Sessions),
        static_cast<long long>(
            R.total("incremental", "smt_assumption_solves")),
        static_cast<long long>(R.total("incremental", "smt_clauses_retained")),
-       static_cast<long long>(
-           R.total("incremental", "smt_tableau_warm_pivots")),
        ParallelArms);
   if (Sessions == 0)
     R.Failures.push_back("incremental arm never opened a session");

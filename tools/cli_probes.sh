@@ -18,6 +18,8 @@
 #   6. --cache-dir under the default sequential portfolio: the deferred
 #      store of the winner's proof is counted in the --cache-stats line,
 #      on the cold run and on the warm one.
+#   7. an integer literal beyond int64 is a parse error (exit 2), not
+#      an abort (exit 134).
 #
 # Usage: tools/cli_probes.sh [path/to/seqver]   (default build/tools/seqver)
 set -eu
@@ -174,5 +176,16 @@ for RUN in cold warm; do
       fail "$RUN sequential-portfolio run did not count its store: ${LINE:-<missing>}" ;;
   esac
 done
+
+# 7. Out-of-range integer literal.
+printf 'var int x := 99999999999999999999;\nthread a { assert x == 0; }\n' \
+  > "$WORK/long_literal.conc"
+RC=0
+"$SEQVER" --order=seq "$WORK/long_literal.conc" > /dev/null 2>&1 || RC=$?
+if [ "$RC" -ne 2 ]; then
+  fail "out-of-range integer literal exited $RC, expected 2 (a parse error)"
+else
+  echo "long-literal probe: ok"
+fi
 
 exit "$FAILED"
