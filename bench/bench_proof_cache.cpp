@@ -172,8 +172,7 @@ void printComparison(const std::vector<RunRecord> &Cold,
                   {20, 10, 7, 7, 7, 7, 5, 7});
 }
 
-/// Counters land in --benchmark_out JSON; BENCH_proof_cache.json is the
-/// checked-in baseline EXPERIMENTS.md points at.
+/// Counters land in --benchmark_out JSON (EXPERIMENTS.md cites a run).
 void BM_ProofCacheWarmStart(benchmark::State &State) {
   std::string Dir = scratchCacheDir();
   SuiteAggregate Cold, Warm, Renamed, Edited;

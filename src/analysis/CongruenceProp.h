@@ -24,7 +24,6 @@
 
 #include "analysis/InvariantSource.h"
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -65,7 +64,7 @@ constexpr int64_t CongruenceModulusCap = int64_t(1) << 31;
 
 /// Variable -> congruence; absent means top. The lattice element of the
 /// congruence propagation pass.
-using CongruenceFact = std::map<smt::Term, Congruence>;
+using CongruenceFact = smt::TermMap<Congruence>;
 
 /// Congruence class of a linear sum under a fact (booleans through the
 /// [0,1] encoding; untracked variables are top).

@@ -18,7 +18,6 @@
 #include "smt/Term.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
 
 namespace seqver {
@@ -78,7 +77,7 @@ struct Interval {
 
 /// An interval environment: variable -> interval; absent means top.
 /// Also the lattice element of the constant/interval propagation pass.
-using IntervalFact = std::map<smt::Term, Interval>;
+using IntervalFact = smt::TermMap<Interval>;
 
 /// Lookup functor adapting an IntervalFact for the evaluators below.
 struct FactEnv {

@@ -22,11 +22,6 @@
 /// `uint64_t hash() const` member; state structs interning their heavy
 /// components (sleep sets) down to ids get constant-time hashing.
 ///
-/// materializeOrdered keeps the pre-change std::map index (StateType with
-/// operator<). It exists for the SEQVER_LEGACY_INDEX differential path and
-/// the bench_hotpath before/after comparison only; both paths add states in
-/// identical BFS discovery order, so they build identical automata.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEQVER_AUTOMATA_EXPLORE_H
@@ -36,7 +31,6 @@
 #include "support/InternTable.h"
 
 #include <deque>
-#include <map>
 
 namespace seqver {
 namespace automata {
@@ -105,53 +99,6 @@ materialize(ImplicitAutomaton &Impl, uint32_t NumLetters,
     }
   }
   Result.States = Index.takeValues();
-  return Result;
-}
-
-/// Pre-change ordered-map materialization (StateType with operator<); the
-/// SEQVER_LEGACY_INDEX differential-test path. Behaviorally identical to
-/// materialize() — both discover states in the same BFS order — just with
-/// the old O(log n) deep-compare index and per-pop state copy.
-template <typename ImplicitAutomaton>
-Materialized<ImplicitAutomaton>
-materializeOrdered(ImplicitAutomaton &Impl, uint32_t NumLetters,
-                   uint32_t MaxStates = 0, bool *Overflow = nullptr) {
-  using StateType = typename ImplicitAutomaton::StateType;
-  Materialized<ImplicitAutomaton> Result;
-  Result.Automaton = Dfa(NumLetters);
-  if (Overflow)
-    *Overflow = false;
-
-  std::map<StateType, State> Index;
-  std::deque<State> Worklist;
-
-  auto GetState = [&](const StateType &S) -> State {
-    auto It = Index.find(S);
-    if (It != Index.end())
-      return It->second;
-    State Id = Result.Automaton.addState(Impl.isAccepting(S));
-    Index.emplace(S, Id);
-    Result.States.push_back(S);
-    Worklist.push_back(Id);
-    return Id;
-  };
-
-  Result.Automaton.setInitial(GetState(Impl.initialState()));
-  while (!Worklist.empty()) {
-    State Id = Worklist.front();
-    Worklist.pop_front();
-    // Copy: successors() interleaves with GetState growing Result.States.
-    StateType Current = Result.States[Id];
-    for (auto &[L, Next] : Impl.successors(Current)) {
-      if (MaxStates != 0 && Result.Automaton.numStates() >= MaxStates &&
-          Index.find(Next) == Index.end()) {
-        if (Overflow)
-          *Overflow = true;
-        return Result;
-      }
-      Result.Automaton.addTransition(Id, L, GetState(Next));
-    }
-  }
   return Result;
 }
 

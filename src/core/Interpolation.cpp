@@ -6,7 +6,6 @@
 #include "support/Rational.h"
 
 #include <cassert>
-#include <map>
 
 using namespace seqver;
 using namespace seqver::core;
@@ -15,6 +14,7 @@ using seqver::smt::LinSum;
 using seqver::smt::Sort;
 using seqver::smt::Term;
 using seqver::smt::TermManager;
+using seqver::smt::TermMap;
 
 namespace {
 
@@ -105,8 +105,8 @@ public:
   }
 
   /// Snapshot of the current version of every seen program variable.
-  std::map<Term, Term> snapshot() {
-    std::map<Term, Term> Out;
+  TermMap<Term> snapshot() {
+    TermMap<Term> Out;
     for (const auto &[Var, Version] : Versions)
       Out.emplace(ssaVar(Var, Version), Var);
     return Out;
@@ -124,11 +124,11 @@ private:
   }
 
   TermManager &TM;
-  std::map<Term, int> Versions;
+  TermMap<int> Versions;
 
 public:
   /// SSA variable -> program variable (filled lazily by ssaVar).
-  std::map<Term, Term> ProgramVarOf;
+  TermMap<Term> ProgramVarOf;
 };
 
 /// Encodes one action into atoms; false if out of fragment.
@@ -183,9 +183,9 @@ bool encodeAction(TermManager &TM, SsaEncoder &Ssa, const prog::Action &A,
 /// Rewrites a partial-sum inequality (over SSA variables) into a predicate
 /// over program variables; Cut maps the SSA variables live at this cut to
 /// their program variables. Returns null if out of fragment.
-Term deSsa(TermManager &TM, const std::map<Term, Rational> &Coeffs,
+Term deSsa(TermManager &TM, const TermMap<Rational> &Coeffs,
            const Rational &ConstantIn,
-           const std::map<Term, Term> &CutSnapshot) {
+           const TermMap<Term> &CutSnapshot) {
   // Scale to integer coefficients.
   int64_t Denominator = 1;
   for (const auto &[Var, Coeff] : Coeffs) {
@@ -255,7 +255,7 @@ TraceInterpolation seqver::core::sequenceInterpolants(
     if (Var->sort() == Sort::Bool)
       Ssa.addShadowDomain(Ssa.current(Var), Blocks.back());
 
-  std::vector<std::map<Term, Term>> CutSnapshots; // after B_0..B_n
+  std::vector<TermMap<Term>> CutSnapshots; // after B_0..B_n
   CutSnapshots.push_back(Ssa.snapshot());
   for (automata::Letter L : Trace) {
     Blocks.emplace_back();
@@ -288,7 +288,7 @@ TraceInterpolation seqver::core::sequenceInterpolants(
   // Partial sums at cuts 0..n (after blocks B_0..B_n).
   size_t NumCuts = Trace.size() + 1;
   for (size_t Cut = 0; Cut < NumCuts; ++Cut) {
-    std::map<Term, Rational> Coeffs;
+    TermMap<Rational> Coeffs;
     Rational Constant(0);
     for (size_t I = 0; I < Atoms.size(); ++I) {
       if (BlockOf[I] > Cut)

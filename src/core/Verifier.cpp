@@ -541,19 +541,24 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
     return true;
   };
 
-  if (!Push(Init, 0)) {
-    return {RoundResult::Kind::Counterexample, {}, ExitCtex};
-  }
+  // Every exit records the round's DFS states, whatever the round ends in:
+  // peak_visited is the largest round, visited_total the sum over rounds.
+  auto EndRound = [&](RoundResult Result) {
+    Stats.setMax("peak_visited", static_cast<int64_t>(Visited.size()));
+    Stats.add("visited_total", static_cast<int64_t>(Visited.size()));
+    return Result;
+  };
+
+  if (!Push(Init, 0))
+    return EndRound({RoundResult::Kind::Counterexample, {}, ExitCtex});
 
   while (!Stack.empty()) {
     // Cheap cancellation/deadline poll on every DFS step (push or pop);
     // the mask keeps the clock read off the per-step path. This is the
     // innermost poll point of the cancellation contract (docs/RUNTIME.md).
     if ((++Steps & 0x3FF) == 0 &&
-        (stopRequested() || Visited.size() > Config.MaxVisitedPerRound)) {
-      Stats.setMax("peak_visited", static_cast<int64_t>(Visited.size()));
-      return {RoundResult::Kind::Aborted, {}};
-    }
+        (stopRequested() || Visited.size() > Config.MaxVisitedPerRound))
+      return EndRound({RoundResult::Kind::Aborted, {}});
     Frame &Top = Stack.back();
     if (Top.NextIndex < Top.Succs.size()) {
       auto &[L, Next] = Top.Succs[Top.NextIndex++];
@@ -563,9 +568,8 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
         for (size_t I = 1; I < Stack.size(); ++I)
           Trace.push_back(Stack[I].InLetter);
         Trace.push_back(L);
-        Stats.setMax("peak_visited", static_cast<int64_t>(Visited.size()));
-        return {RoundResult::Kind::Counterexample, std::move(Trace),
-                ExitCtex};
+        return EndRound(
+            {RoundResult::Kind::Counterexample, std::move(Trace), ExitCtex});
       }
       continue;
     }
@@ -582,9 +586,7 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
     if (Propagate && !Stack.empty())
       Stack.back().TouchedUnknown = true;
   }
-  Stats.setMax("peak_visited", static_cast<int64_t>(Visited.size()));
-  Stats.add("visited_total", static_cast<int64_t>(Visited.size()));
-  return {RoundResult::Kind::ProofValid, {}};
+  return EndRound({RoundResult::Kind::ProofValid, {}});
 }
 
 VerificationResult Verifier::Impl::run() {

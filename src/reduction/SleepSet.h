@@ -33,23 +33,15 @@ namespace red {
 using CommutesFn =
     std::function<bool(automata::Letter, automata::Letter)>;
 
-/// True when the SEQVER_LEGACY_INDEX environment variable is set (to
-/// anything but "0"): routes the reduction constructions through the
-/// pre-interning ordered std::map state index. Test-only escape hatch; the
-/// differential suite asserts both paths build identical automata.
-bool legacyIndexRequested();
-
 /// Generic letter order for the generic construction: non-program-specific
 /// orders used by tests subclass PreferenceOrder directly.
 ///
-/// Materializes S_<(A). MaxStates = 0 means unlimited. LegacyIndex selects
-/// the pre-change ordered-map construction (see legacyIndexRequested()).
+/// Materializes S_<(A). MaxStates = 0 means unlimited.
 automata::Dfa sleepSetAutomaton(const automata::Dfa &A,
                                 const PreferenceOrder &Order,
                                 const CommutesFn &Commutes,
                                 uint32_t MaxStates = 0,
-                                bool *Overflow = nullptr,
-                                bool LegacyIndex = false);
+                                bool *Overflow = nullptr);
 
 /// Applies a pi-reduction (Sec. 6.1) to A: keeps from each state only the
 /// edges allowed by Pi(state).
@@ -68,10 +60,6 @@ struct ReductionConfig {
   /// Pre-sizes the state index/arena when the caller can estimate the
   /// final state count (e.g. the size of the previous round's reduction).
   uint32_t ReserveHint = 0;
-  /// Pre-change ordered-map state index (SEQVER_LEGACY_INDEX test path);
-  /// defaults to the environment toggle so external differential runs need
-  /// no code changes.
-  bool LegacyIndex = legacyIndexRequested();
   /// Optional counter sink: reduction_states, sleepset_intern_hits/misses,
   /// sleepset_distinct, sleepset_inline_repr (see docs/PERF.md).
   Statistics *Stats = nullptr;

@@ -5,7 +5,6 @@
 #include "smt/Simplex.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace seqver;
 using namespace seqver::smt;
@@ -36,7 +35,7 @@ seqver::smt::farkasCertificate(const std::vector<LiaAtom> &Atoms) {
   }
 
   // Collect all program variables.
-  std::map<Term, std::vector<std::pair<size_t, int64_t>>> VarOccurrences;
+  TermMap<std::vector<std::pair<size_t, int64_t>>> VarOccurrences;
   for (size_t S = 0; S < Splits.size(); ++S) {
     const LinSum &Sum = Atoms[Splits[S].AtomIndex].Sum;
     for (const auto &[Var, Coeff] : Sum.Terms)
@@ -87,7 +86,7 @@ bool seqver::smt::isValidFarkasCertificate(
     if (!Atoms[I].IsEq && Lambda[I].isNegative())
       return false;
   // Combination must be a positive constant (variables cancel).
-  std::map<Term, Rational> Coeffs;
+  TermMap<Rational> Coeffs;
   Rational Constant(0);
   for (size_t I = 0; I < Atoms.size(); ++I) {
     for (const auto &[Var, Coeff] : Atoms[I].Sum.Terms)

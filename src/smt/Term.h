@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -93,6 +94,15 @@ private:
   LinSum Sum;
   std::vector<Term> Children;
 };
+
+/// Orders terms by id, that is by creation. Ordered maps over terms use it
+/// rather than pointer order, which follows the heap's allocation history:
+/// keyed by id, an iteration feeds the same sequence to whatever it builds
+/// (LP rows, new terms, counters) on every run.
+struct TermIdLess {
+  bool operator()(Term A, Term B) const { return A->id() < B->id(); }
+};
+template <typename V> using TermMap = std::map<Term, V, TermIdLess>;
 
 /// Sorted small-vector map from variables to replacement values. Almost
 /// every substitution binds a handful of variables (one per assignment

@@ -296,7 +296,7 @@ public:
     return Id;
   }
 
-  /// Conveniences for tests and the legacy differential path.
+  /// Conveniences for tests.
   SleepSetId intern(const Bitset &Set) {
     assert(Set.capacity() == Letters && "alphabet mismatch");
     scratchClear();

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -117,6 +118,64 @@ TEST(CheckMatrix, EveryThirdArmsSkipTheOtherWorkloads) {
     EXPECT_TRUE(R.run(R.Rows[I], "incremental").Ran);
     EXPECT_EQ(R.run(R.Rows[I], "par-inc").Ran, I % 3 == 0) << I;
   }
+}
+
+/// The named group with the listed arms changed by Break; keeps the
+/// group's assertions.
+check::Group broken(const std::string &Name,
+                    const std::function<void(check::Arm &)> &Break) {
+  check::Group G = *check::findGroup(Name);
+  for (check::Arm &A : G.Arms)
+    Break(A);
+  return G;
+}
+
+bool hasFailure(const check::GroupResult &R, const std::string &Text) {
+  for (const std::string &F : R.Failures)
+    if (F.find(Text) != std::string::npos)
+      return true;
+  return false;
+}
+
+TEST(CheckMatrix, CommutFloorsFailWithoutTheOracle) {
+  // The shared and warm arms run without the oracle: nothing is saved.
+  check::Group G = broken("commut", [](check::Arm &A) {
+    if (A.Name == "shared" || A.Name == "warm")
+      A.Oracle = check::OracleMode::Off;
+  });
+  check::GroupResult R =
+      check::runGroup(G, {counterWorkload(false)}, testOptions());
+  EXPECT_TRUE(hasFailure(R, "shared oracle saved under 30%"));
+  EXPECT_TRUE(hasFailure(R, "persisted-warm run saved under 70%"));
+}
+
+TEST(CheckMatrix, IncrementalFloorFailsWithFreshSolvers) {
+  check::Group G = broken("incremental", [](check::Arm &A) {
+    A.Delta = [](core::VerifierConfig &Config) {
+      Config.IncrementalSmt = false;
+    };
+  });
+  check::GroupResult R =
+      check::runGroup(G, {suiteWorkload("ticket_safe_3")}, testOptions());
+  EXPECT_TRUE(hasFailure(R, "saved under 30% of the theory rounds"));
+}
+
+/// The sequential commut arms do not race, so their semantic solver calls
+/// over the group's quick sample are exact: a drift either way fails here
+/// before it could reach the group's floors.
+TEST(CheckMatrix, CommutOracleSavingsArePinned) {
+  const check::Group &Commut = *check::findGroup("commut");
+  check::MatrixOptions O = testOptions();
+  O.Quick = true;
+  check::GroupResult R = check::runGroup(
+      check::selectArms(Commut, {"off", "shared", "cold", "warm"}),
+      Commut.Suite(), O);
+  EXPECT_TRUE(R.ok());
+  EXPECT_EQ(R.Rows.size(), 20u);
+  EXPECT_EQ(R.total("off", "commut_semantic"), 1456);
+  EXPECT_EQ(R.total("shared", "commut_semantic"), 609);
+  EXPECT_EQ(R.total("cold", "commut_semantic"), 589);
+  EXPECT_EQ(R.total("warm", "commut_semantic"), 0);
 }
 
 TEST(CheckMatrix, SelectArmsDropsGroupAssertionsAndForeignColumns) {

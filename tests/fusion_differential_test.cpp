@@ -9,7 +9,8 @@
 /// the fused program themselves (VerifierConfig::FuseTransactions). Fusion
 /// is a pure reduction: it must never flip a verdict, and on the
 /// loop-heavy and affine suites it must strictly shrink the explored DFS
-/// state count.
+/// state count. The sequential runs are deterministic, so each suite's DFS
+/// states and fusion counts are pinned exactly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,34 +45,51 @@ check::GroupResult runArms(const std::vector<std::string> &Arms,
   return R;
 }
 
+/// A suite's pinned fusion work under "seq": DFS states summed over every
+/// round (visited_total) unfused and fused, and the fused edges and
+/// transactions of the fusion pass.
+struct FusionPins {
+  int64_t VisitedUnfused;
+  int64_t VisitedFused;
+  int64_t FusedEdges;
+  int64_t Transactions;
+};
+
 void runSuite(std::vector<workloads::WorkloadInstance> Suite,
-              bool RequireStrictShrink) {
+              const FusionPins &Pins, bool RequireStrictShrink) {
   check::GroupResult R = runArms({"unfused", "fused"}, std::move(Suite));
   int64_t VisitedUnfused = R.total("unfused", "visited_total");
   int64_t VisitedFused = R.total("fused", "visited_total");
+  EXPECT_EQ(VisitedUnfused, Pins.VisitedUnfused);
+  EXPECT_EQ(VisitedFused, Pins.VisitedFused);
+  EXPECT_EQ(R.total("fused", "fusion_fused_edges"), Pins.FusedEdges);
+  EXPECT_EQ(R.total("fused", "fusion_transactions"), Pins.Transactions);
   // Fusion never explores more: fused transactions skip the interleavings
   // the mover analysis proved equivalent.
   EXPECT_LE(VisitedFused, VisitedUnfused);
-  EXPECT_GE(R.total("fused", "fusion_transactions"), 1);
   if (RequireStrictShrink) {
     EXPECT_LT(VisitedFused, VisitedUnfused);
   }
 }
 
 TEST(FusionDifferential, SvcompLikeSuiteVerdictsAgree) {
-  runSuite(workloads::svcompLikeSuite(), /*RequireStrictShrink=*/false);
+  runSuite(workloads::svcompLikeSuite(), {19216, 9223, 126, 51},
+           /*RequireStrictShrink=*/false);
 }
 
 TEST(FusionDifferential, WeaverLikeSuiteVerdictsAgree) {
-  runSuite(workloads::weaverLikeSuite(), /*RequireStrictShrink=*/false);
+  runSuite(workloads::weaverLikeSuite(), {83734, 44115, 42, 21},
+           /*RequireStrictShrink=*/false);
 }
 
 TEST(FusionDifferential, LoopHeavySuiteStrictlyShrinks) {
-  runSuite(workloads::loopHeavySuite(), /*RequireStrictShrink=*/true);
+  runSuite(workloads::loopHeavySuite(), {548, 395, 20, 10},
+           /*RequireStrictShrink=*/true);
 }
 
 TEST(FusionDifferential, AffineSuiteStrictlyShrinks) {
-  runSuite(workloads::affineSuite(), /*RequireStrictShrink=*/true);
+  runSuite(workloads::affineSuite(), {377, 230, 10, 4},
+           /*RequireStrictShrink=*/true);
 }
 
 /// The parallel portfolio with in-worker fusion agrees with the unfused

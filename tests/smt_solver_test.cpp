@@ -677,4 +677,71 @@ TEST_F(TheoryCoreTest, CorruptedCertificateIsRejected) {
   EXPECT_EQ(Core, (std::vector<size_t>{0, 1, 2}));
 }
 
+/// What a fixed stream of theory queries produced: every certificate,
+/// every core and the solver's counters.
+struct TheoryTranscript {
+  std::vector<std::string> Certificates;
+  std::vector<std::vector<size_t>> Cores;
+  uint64_t Queries = 0;
+  uint64_t TheoryRounds = 0;
+};
+
+/// Runs the random systems of FarkasSeededCoreIsUnsatAndIrreducible in a
+/// fresh TermManager. With ReversedHeap, the variables' nodes land in
+/// freed blocks that the allocator hands out highest address first, so
+/// pointer order runs against creation (id) order.
+TheoryTranscript theoryTranscript(bool ReversedHeap) {
+  TermManager TM;
+  std::vector<void *> Blocks;
+  if (ReversedHeap) {
+    for (int I = 0; I < 4; ++I)
+      Blocks.push_back(::operator new(sizeof(TermNode)));
+    std::sort(Blocks.begin(), Blocks.end());
+    for (void *Block : Blocks)
+      ::operator delete(Block);
+  }
+  std::vector<Term> Vars = {TM.mkVar("a", Sort::Int), TM.mkVar("b", Sort::Int),
+                            TM.mkVar("c", Sort::Int), TM.mkVar("d", Sort::Int)};
+  QueryEngine QE(TM);
+  TheoryTranscript Out;
+  for (uint64_t Seed = 0; Seed < 300; ++Seed) {
+    Rng R(Seed);
+    std::vector<LiaAtom> Atoms;
+    std::vector<Term> Conjuncts;
+    for (int I = 0; I < 8; ++I) {
+      LinSum Sum = TM.sumOfConst(R.range(-6, 6));
+      for (Term V : Vars)
+        if (R.below(3) == 0)
+          Sum = TermManager::sumAdd(
+              Sum, TermManager::sumScale(TM.sumOfVar(V), R.range(-3, 3)));
+      bool IsEq = R.below(5) == 0;
+      Conjuncts.push_back(IsEq ? TM.mkEqZero(Sum) : TM.mkLeZero(Sum));
+      Atoms.push_back({std::move(Sum), IsEq});
+    }
+    QE.checkSat(TM.mkAnd(std::move(Conjuncts)));
+    std::string Certificate = "none";
+    if (auto Lambda = farkasCertificate(Atoms)) {
+      Certificate.clear();
+      for (const Rational &L : *Lambda)
+        Certificate += L.str() + " ";
+    }
+    Out.Certificates.push_back(Certificate);
+    if (LiaSolver().check(Atoms, {}, nullptr, nullptr) == LiaResult::Unsat)
+      Out.Cores.push_back(LiaSolver().unsatCore(Atoms));
+  }
+  Out.Queries = QE.numQueries();
+  Out.TheoryRounds = QE.numTheoryRounds();
+  return Out;
+}
+
+TEST(TheoryDeterminismTest, HeapHistoryDoesNotChangeCertificatesOrCounters) {
+  TheoryTranscript Plain = theoryTranscript(false);
+  TheoryTranscript Reversed = theoryTranscript(true);
+  EXPECT_EQ(Plain.Certificates, Reversed.Certificates);
+  EXPECT_EQ(Plain.Cores, Reversed.Cores);
+  EXPECT_EQ(Plain.Queries, Reversed.Queries);
+  EXPECT_EQ(Plain.TheoryRounds, Reversed.TheoryRounds);
+  EXPECT_GT(Plain.TheoryRounds, 0u);
+}
+
 } // namespace

@@ -15,9 +15,12 @@
 
 #include "program/CfgBuilder.h"
 #include "program/Interpreter.h"
+#include "reduction/SleepSet.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace seqver;
 using namespace seqver::core;
@@ -309,6 +312,22 @@ TEST_F(VerifierTest, BluetoothBugFound) {
   }
 }
 
+/// visited_total sums the DFS states of every round, the ones that end in
+/// a counterexample included, so a bug instance reports at least the
+/// states of its largest round.
+TEST_F(VerifierTest, VisitedTotalCountsCounterexampleRounds) {
+  smt::TermManager LocalTM;
+  prog::BuildResult B = prog::buildFromSource(
+      workloads::bluetoothSource(3, /*WithBug=*/true), LocalTM);
+  ASSERT_TRUE(B.ok()) << B.Error;
+  VerifierConfig Cfg;
+  Cfg.TimeoutSeconds = 30;
+  VerificationResult R = runSingleOrder(*B.Program, Cfg, "seq");
+  ASSERT_EQ(R.V, Verdict::Incorrect);
+  EXPECT_GT(R.Stats.get("peak_visited"), 0);
+  EXPECT_GE(R.Stats.get("visited_total"), R.Stats.get("peak_visited"));
+}
+
 TEST_F(VerifierTest, UselessCacheDoesNotChangeVerdicts) {
   auto Src = workloads::bluetoothSource(2);
   for (bool UseCache : {false, true}) {
@@ -492,5 +511,112 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenDfs> &Info) {
       return std::string(Info.param.Name);
     });
+
+/// The whole tier-1 svcomp + weaver suite under "seq": every instance must
+/// reach its expected verdict, and the suite's summed DFS, Hoare, SMT and
+/// intern-table work is pinned like a GoldenDfsCounters row, so one extra
+/// DFS push or solver query anywhere in the suite fails it.
+TEST(GoldenSuiteCounters, Tier1SeqSuiteWorkIsPinned) {
+  std::vector<workloads::WorkloadInstance> Suite =
+      workloads::svcompLikeSuite();
+  for (workloads::WorkloadInstance &W : workloads::weaverLikeSuite())
+    Suite.push_back(std::move(W));
+  const std::vector<std::pair<std::string, int64_t>> Golden = {
+      {"peak_visited", 67003},      {"hoare_queries", 88384},
+      {"smt_queries", 83},          {"semantic_commut_checks", 3921},
+      {"sleep_pruned", 264517},     {"persistent_pruned", 46816},
+      {"useless_cache_hits", 72539}, {"peak_interned_sets", 11419}};
+  std::map<std::string, int64_t> Sums;
+  int Expected = 0;
+  int64_t Rounds = 0;
+  for (const workloads::WorkloadInstance &W : Suite) {
+    smt::TermManager TM;
+    prog::BuildResult B = prog::buildFromSource(W.Source, TM);
+    ASSERT_TRUE(B.ok()) << W.Name << ": " << B.Error;
+    VerifierConfig Cfg;
+    Cfg.TimeoutSeconds = 120;
+    VerificationResult R = runSingleOrder(*B.Program, Cfg, "seq");
+    Expected += R.V == (W.ExpectedCorrect ? Verdict::Correct
+                                          : Verdict::Incorrect);
+    Rounds += R.Rounds;
+    for (const auto &[Name, Value] : Golden)
+      Sums[Name] += R.Stats.get(Name);
+  }
+  EXPECT_EQ(Suite.size(), 57u);
+  EXPECT_EQ(Expected, 57);
+  EXPECT_EQ(Rounds, 127);
+  for (const auto &[Name, Value] : Golden)
+    EXPECT_EQ(Sums[Name], Value) << Name;
+}
+
+/// Prefers smaller letter indices; needs no program.
+struct IdentityOrder final : red::PreferenceOrder {
+  bool less(Context, Letter A, Letter B) const override { return A < B; }
+  std::string name() const override { return "identity"; }
+};
+
+/// The generic sleep-set construction (Def. 5.1) over a complete synthetic
+/// automaton whose unrolling fans out into thousands of (state, sleep set)
+/// pairs: 512 states, 12 letters, same-parity letters commute.
+TEST(GoldenSuiteCounters, SyntheticSleepSetAutomatonIsPinned) {
+  constexpr uint32_t NumStates = 512, NumLetters = 12;
+  automata::Dfa Base(NumLetters);
+  for (uint32_t S = 0; S < NumStates; ++S)
+    Base.addState(S % 7 == 0);
+  Base.setInitial(0);
+  for (uint32_t S = 0; S < NumStates; ++S)
+    for (Letter L = 0; L < NumLetters; ++L)
+      Base.addTransition(S, L, (S * 31 + (L + 1) * 17) % NumStates);
+  IdentityOrder Order;
+  bool Overflow = true;
+  automata::Dfa R = red::sleepSetAutomaton(
+      Base, Order, [](Letter A, Letter B) { return ((A ^ B) & 1) == 0; },
+      /*MaxStates=*/0, &Overflow);
+  EXPECT_FALSE(Overflow);
+  EXPECT_EQ(R.numStates(), 5632u);
+}
+
+/// The combined reduction (Sec. 6.2) of Source under "seq" with static
+/// commutativity.
+red::ProgramReduction seqReduction(const std::string &Source,
+                                   const red::ReductionConfig &Config) {
+  smt::TermManager TM;
+  prog::BuildResult B = prog::buildFromSource(Source, TM);
+  EXPECT_TRUE(B.ok()) << B.Error;
+  if (!B.ok())
+    return {};
+  smt::QueryEngine QE(TM);
+  red::CommutativityChecker Commut(*B.Program, QE,
+                                   red::CommutativityChecker::Mode::Static);
+  red::SequentialOrder Order(*B.Program);
+  return red::buildReduction(*B.Program, &Order, Commut, Config);
+}
+
+/// The combined reductions of every svcomp program plus bluetooth(3) and
+/// bluetooth(4), summed.
+TEST(GoldenSuiteCounters, ProgramReductionSizesArePinned) {
+  std::vector<std::string> Sources;
+  for (const workloads::WorkloadInstance &W : workloads::svcompLikeSuite())
+    Sources.push_back(W.Source);
+  Sources.push_back(workloads::bluetoothSource(3));
+  Sources.push_back(workloads::bluetoothSource(4));
+  uint64_t States = 0;
+  for (const std::string &Source : Sources) {
+    red::ProgramReduction R = seqReduction(Source, {});
+    EXPECT_FALSE(R.Overflow);
+    States += R.Automaton.numStates();
+  }
+  EXPECT_EQ(States, 63280u);
+}
+
+/// The MaxStates valve stops the construction at exactly the cap.
+TEST(GoldenSuiteCounters, ReductionOverflowsAtMaxStates) {
+  red::ReductionConfig Capped;
+  Capped.MaxStates = 100;
+  red::ProgramReduction R =
+      seqReduction(workloads::bluetoothSource(4), Capped);
+  EXPECT_TRUE(R.Overflow);
+  EXPECT_EQ(R.Automaton.numStates(), 100u);
+}
 
 } // namespace

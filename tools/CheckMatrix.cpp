@@ -59,6 +59,19 @@ std::vector<workloads::WorkloadInstance> allSuites() {
   return Suite;
 }
 
+/// All suites minus the bluetooth family. The bluetooth workloads are
+/// refinement-bound: their semantic queries carry per-order proof
+/// predicates (a distinct Phi per portfolio order) that no sharing scheme
+/// can deduplicate, and they outnumber the commutativity-bound rest by an
+/// order of magnitude, so they would drown what the oracle saves.
+std::vector<workloads::WorkloadInstance> commutSuites() {
+  std::vector<workloads::WorkloadInstance> Suite;
+  for (auto &W : allSuites())
+    if (W.Family != "bluetooth")
+      Suite.push_back(std::move(W));
+  return Suite;
+}
+
 //===----------------------------------------------------------------------===//
 // Group-level assertions and summaries
 //===----------------------------------------------------------------------===//
@@ -172,8 +185,7 @@ void finishFusion(GroupResult &R, const MatrixOptions &O,
     emit(O, " (%.1f%% fewer)", percentSaved(Unfused, Fused));
   emit(O, "\n");
   // Fusion must strictly shrink the loop families wherever their unfused
-  // DFS explored anything (visited_total counts proof-valid rounds only,
-  // so a sample of bug instances alone has nothing to shrink).
+  // DFS explored anything.
   for (const std::string Family : {"loop_heavy", "affine"}) {
     int64_t U = 0, F = 0;
     for (const Row &Row : R.Rows) {
@@ -189,6 +201,11 @@ void finishFusion(GroupResult &R, const MatrixOptions &O,
   }
 }
 
+/// The least share of semantic solver calls the shared oracle must save
+/// against private caches, and a warm reload against its cold run.
+constexpr int MinSharedSavedPct = 30;
+constexpr int MinWarmSavedPct = 70;
+
 void finishCommut(GroupResult &R, const MatrixOptions &O,
                   const std::string &) {
   int64_t SemOff = R.total("off", "commut_semantic");
@@ -197,8 +214,8 @@ void finishCommut(GroupResult &R, const MatrixOptions &O,
   int64_t SemWarm = R.total("warm", "commut_semantic");
   int64_t WarmLoaded = R.total("warm", "oracle_loaded");
   emit(O,
-       "\nsemantic solver calls (aggregate across workers): %lld "
-       "off, %lld shared",
+       "\nsemantic solver calls (summed over the portfolio's orders): "
+       "%lld off, %lld shared",
        static_cast<long long>(SemOff), static_cast<long long>(SemShared));
   if (SemOff > 0)
     emit(O, " (%.1f%% saved, %lld shared hit(s))",
@@ -212,31 +229,36 @@ void finishCommut(GroupResult &R, const MatrixOptions &O,
          WarmLoaded == 1 ? "y" : "ies",
          static_cast<long long>(R.total("warm", "commut_shared_hits")));
   emit(O, "\n");
-  if (SemShared >= SemOff)
-    R.Failures.push_back(
-        "shared oracle did not reduce aggregate semantic solver calls (" +
-        std::to_string(SemShared) + " shared vs " + std::to_string(SemOff) +
-        " off)");
-  if (SemWarm >= SemCold)
-    R.Failures.push_back(
-        "persisted-warm run did not reduce semantic solver calls (" +
-        std::to_string(SemWarm) + " warm vs " + std::to_string(SemCold) +
-        " cold)");
+  if (SemOff == 0 || percentSaved(SemOff, SemShared) < MinSharedSavedPct)
+    R.Failures.push_back("shared oracle saved under " +
+                         std::to_string(MinSharedSavedPct) +
+                         "% of the semantic solver calls (" +
+                         std::to_string(SemShared) + " shared vs " +
+                         std::to_string(SemOff) + " off)");
+  if (SemCold == 0 || percentSaved(SemCold, SemWarm) < MinWarmSavedPct)
+    R.Failures.push_back("persisted-warm run saved under " +
+                         std::to_string(MinWarmSavedPct) +
+                         "% of the semantic solver calls (" +
+                         std::to_string(SemWarm) + " warm vs " +
+                         std::to_string(SemCold) + " cold)");
 }
+
+/// The least share of theory-solver rounds (simplex checks) that the
+/// sessions must save against one fresh solver per query.
+constexpr int MinIncrementalSavedPct = 30;
 
 void finishIncremental(GroupResult &R, const MatrixOptions &O,
                        const std::string &) {
-  int64_t SolverUsInc = R.total("incremental", "smt_solver_us");
-  int64_t SolverUsFresh = R.total("fresh", "smt_solver_us");
+  int64_t RoundsInc = R.total("incremental", "smt_theory_rounds");
+  int64_t RoundsFresh = R.total("fresh", "smt_theory_rounds");
   int64_t Sessions = R.total("incremental", "smt_sessions");
   size_t ParallelArms = 0;
   for (const Row &Row : R.Rows)
     ParallelArms += R.run(Row, "par-inc").Ran;
-  emit(O, "\nsolver wall-seconds: %.3fs incremental, %.3fs fresh",
-       static_cast<double>(SolverUsInc) / 1e6,
-       static_cast<double>(SolverUsFresh) / 1e6);
-  if (SolverUsFresh > 0)
-    emit(O, " (%.1f%% saved)", percentSaved(SolverUsFresh, SolverUsInc));
+  emit(O, "\ntheory rounds: %lld incremental, %lld fresh",
+       static_cast<long long>(RoundsInc), static_cast<long long>(RoundsFresh));
+  if (RoundsFresh > 0)
+    emit(O, " (%.1f%% saved)", percentSaved(RoundsFresh, RoundsInc));
   emit(O,
        "\nsessions: %lld opened, %lld assumption solve(s), %lld "
        "learned clause(s) retained; %zu parallel arm(s)\n",
@@ -247,6 +269,13 @@ void finishIncremental(GroupResult &R, const MatrixOptions &O,
        ParallelArms);
   if (Sessions == 0)
     R.Failures.push_back("incremental arm never opened a session");
+  if (RoundsFresh == 0 ||
+      percentSaved(RoundsFresh, RoundsInc) < MinIncrementalSavedPct)
+    R.Failures.push_back("incremental sessions saved under " +
+                         std::to_string(MinIncrementalSavedPct) +
+                         "% of the theory rounds (" +
+                         std::to_string(RoundsInc) + " incremental vs " +
+                         std::to_string(RoundsFresh) + " fresh)");
 }
 
 //===----------------------------------------------------------------------===//
@@ -447,10 +476,15 @@ const std::vector<Group> &seqver::check::groups() {
                    {"rd-s", "seeded", "rounds"},
                    {"rd-b", "int-only", "rounds"}},
        .Finish = finishTiers},
-      // The sequential as-if-parallel portfolio against the racing one.
+      // The sequential as-if-parallel portfolio against the racing one,
+      // both with the shared commutativity oracle (the CLI's default).
       {.Name = "parallel",
-       .Arms = {{.Name = "sequential", .Run = Runner::SeqPortfolio},
-                {.Name = "parallel", .Run = Runner::Parallel}},
+       .Arms = {{.Name = "sequential",
+                 .Run = Runner::SeqPortfolio,
+                 .Oracle = OracleMode::Shared},
+                {.Name = "parallel",
+                 .Run = Runner::Parallel,
+                 .Oracle = OracleMode::Shared}},
        .Suite = portfolioSuites,
        .Columns = {{"seq-us", "sequential", "wall_us"},
                    {"par-us", "parallel", "wall_us"}},
@@ -477,20 +511,26 @@ const std::vector<Group> &seqver::check::groups() {
                    {"vis-f", "fused", "visited_total"},
                    {"txn", "fused", "fusion_transactions"}},
        .Finish = finishFusion},
-      // The racing portfolio with the commutativity oracle off, shared in
-      // memory, persisted cold and reloaded warm.
+      // The sequential portfolio with the commutativity oracle off, shared
+      // in memory, persisted cold and reloaded warm: its counts do not
+      // depend on thread timing, so the savings floors are exact. The
+      // racing portfolio with the shared oracle checks verdict agreement
+      // under the race.
       {.Name = "commut",
-       .Arms = {{.Name = "off", .Run = Runner::Parallel},
+       .Arms = {{.Name = "off", .Run = Runner::SeqPortfolio},
                 {.Name = "shared",
-                 .Run = Runner::Parallel,
+                 .Run = Runner::SeqPortfolio,
                  .Oracle = OracleMode::Shared},
                 {.Name = "cold",
-                 .Run = Runner::Parallel,
+                 .Run = Runner::SeqPortfolio,
                  .Oracle = OracleMode::DiskCold},
                 {.Name = "warm",
+                 .Run = Runner::SeqPortfolio,
+                 .Oracle = OracleMode::DiskWarm},
+                {.Name = "par-shared",
                  .Run = Runner::Parallel,
-                 .Oracle = OracleMode::DiskWarm}},
-       .Suite = allSuites,
+                 .Oracle = OracleMode::Shared}},
+       .Suite = commutSuites,
        .Columns = {{"sem-off", "off", "commut_semantic"},
                    {"sem-sh", "shared", "commut_semantic"},
                    {"sem-w", "warm", "commut_semantic"},
@@ -512,8 +552,8 @@ const std::vector<Group> &seqver::check::groups() {
                  .Jobs = 2,
                  .EveryThird = true}},
        .Suite = allSuites,
-       .Columns = {{"slv-inc", "incremental", "smt_solver_us"},
-                   {"slv-frsh", "fresh", "smt_solver_us"},
+       .Columns = {{"rnd-inc", "incremental", "smt_theory_rounds"},
+                   {"rnd-frsh", "fresh", "smt_theory_rounds"},
                    {"sess", "incremental", "smt_sessions"},
                    {"asolve", "incremental", "smt_assumption_solves"}},
        .Finish = finishIncremental},
